@@ -1,11 +1,9 @@
-// B17/B18 — vectorized set-oriented rule evaluation vs the
-// row-at-a-time path (docs/EXECUTION.md). Three engines differing ONLY
-// in RuleEngineOptions::{vectorized_execution, columnar_execution} run
-// the same rule-dense workloads single-threaded: `row` (scalar),
-// `vector` (B17: pointer batches + selection vectors + hash join), and
-// `columnar` (B18: hot predicate/join-key columns decomposed into
-// contiguous typed arrays evaluated by branch-light kernels, join keys
-// digested by bulk column loops):
+// B17/B18 — batch set-oriented rule evaluation vs the row-at-a-time
+// path (docs/EXECUTION.md). Two engines differing ONLY in
+// RuleEngineOptions::batch_execution run the same rule-dense workloads
+// single-threaded: `row` (the scalar oracle) and `batch` (hot predicate
+// and join-key columns decomposed into contiguous typed arrays evaluated
+// by branch-light kernels, selection vectors, build/probe hash join):
 //
 //   rule_dense — the headline. Each transaction updates a 25-row slab
 //                of t, which fires (a) a join rule whose action joins
@@ -20,30 +18,35 @@
 //                set-oriented shape: few transactions, rule work over
 //                whole transition sets.
 //   filter     — a NULL-heavy residual predicate scanned over a 100k-row
-//                table (no join): batch predicate evaluation with
-//                selection vectors vs the per-row expression tree walk.
+//                table (no join): columnar kernels over selection
+//                vectors vs the per-row expression tree walk.
 //
 // Both engines produce identical results (the differential suite proves
-// it); this bench measures only the cost. Honest numbers: everything is
-// one thread, so "cpus" is reported as 1 and the speedup is pure
-// per-row-overhead elimination, not parallelism. The JSON also records
-// the exec-layer counters so the trend tracker can verify the hash join
-// actually engaged (hash_join_builds > 0) rather than silently falling
-// back.
+// it); this bench measures only the cost. Every measurement is one
+// thread; "cpus" records the machine's hardware thread count so a reader
+// knows what else could have been running. Each repetition builds a
+// fresh engine per mode and workload (modes alternate within a
+// repetition, so slow drift hits both alike) and times `iterations`
+// transactions after one warm-up; the JSON reports every repetition plus
+// median/min/max per mode and workload. It also records the exec-layer
+// counters so the trend tracker can verify the hash join actually
+// engaged (hash_join_builds > 0) rather than silently falling back.
 //
-// Run: ./build/bench/bench_rule_vectorized [iterations]
-// Emits BENCH_rule_vectorized.json.
+// Run: ./build/bench/bench_rule_vectorized [iterations] [repetitions]
+// (defaults 12 and 5). Emits BENCH_rule_vectorized.json.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
-#include "exec/row_batch.h"
+#include "exec/stats.h"
 
 namespace sopr {
 namespace {
@@ -154,9 +157,8 @@ double RunFilter(Engine* engine, int iters) {
   // Arithmetic-dense NULL-heavy predicate: the conjuncts are
   // mostly-true, so the AND narrowing keeps the lanes full and every
   // engine pays the full per-row expression cost — the row path one
-  // tree walk per row, the pointer-vector path one Value type switch
-  // per lane per operator, the columnar path a handful of contiguous
-  // int64 loops over the two decomposed columns.
+  // tree walk per row, the batch path a handful of contiguous int64
+  // loops over the two decomposed columns.
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
     auto r = engine->Query(
@@ -180,92 +182,122 @@ double RunFilter(Engine* engine, int iters) {
 struct RunResult {
   std::string mode;
   std::string workload;
-  int iters = 0;
+  int rep = 0;
   double seconds = 0;
   double tx_per_sec = 0;
 };
 
+struct Summary {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+/// Median/min/max of tx_per_sec over the runs of one mode and workload.
+Summary Summarize(const std::vector<RunResult>& runs, const std::string& mode,
+                  const std::string& workload) {
+  std::vector<double> v;
+  for (const RunResult& r : runs) {
+    if (r.mode == mode && r.workload == workload) v.push_back(r.tx_per_sec);
+  }
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  const double median =
+      n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  return {median, v.front(), v.back()};
+}
+
 }  // namespace
 }  // namespace sopr
 
+#ifndef SOPR_BUILD_TYPE
+#define SOPR_BUILD_TYPE "unknown"
+#endif
+
 int main(int argc, char** argv) {
   const int iters = argc > 1 ? std::atoi(argv[1]) : 12;
+  const int reps = argc > 2 ? std::atoi(argv[2]) : 5;
+  if (iters <= 0 || reps <= 0) {
+    std::cerr << "usage: bench_rule_vectorized [iterations] [repetitions]\n";
+    return 2;
+  }
+  static const char* kModes[2] = {"row", "batch"};
+  static const char* kWorkloads[2] = {"rule_dense", "filter"};
   std::vector<sopr::RunResult> results;
-  double dense_secs[3] = {0, 0, 0};
-  double filter_secs[3] = {0, 0, 0};
-  static const char* kModes[3] = {"row", "vector", "columnar"};
 
   const sopr::exec::ExecStatsSnapshot before =
       sopr::exec::SnapshotStats();
 
-  for (int m = 0; m < 3; ++m) {
-    sopr::RuleEngineOptions options;
-    options.vectorized_execution = m > 0;
-    options.columnar_execution = m == 2;
-    const char* mode = kModes[m];
-
-    {
-      sopr::Engine engine(options);
-      sopr::SetupRuleDense(&engine);
-      sopr::RunRuleDense(&engine, 1);  // warm-up, outside the window
-      double secs = sopr::RunRuleDense(&engine, iters);
-      results.push_back({mode, "rule_dense", iters, secs, iters / secs});
-      dense_secs[m] = secs;
-      std::printf("rule_dense %-8s %6.3fs  (%.2f tx/s)\n", mode, secs,
-                  iters / secs);
-    }
-    {
-      sopr::Engine engine(options);
-      sopr::SetupFilter(&engine);
-      sopr::RunFilter(&engine, 1);
-      double secs = sopr::RunFilter(&engine, iters);
-      results.push_back({mode, "filter", iters, secs, iters / secs});
-      filter_secs[m] = secs;
-      std::printf("filter     %-8s %6.3fs  (%.2f q/s)\n", mode, secs,
-                  iters / secs);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (int m = 0; m < 2; ++m) {
+      sopr::RuleEngineOptions options;
+      options.batch_execution = m == 1;
+      const char* mode = kModes[m];
+      {
+        sopr::Engine engine(options);
+        sopr::SetupRuleDense(&engine);
+        sopr::RunRuleDense(&engine, 1);  // warm-up, outside the window
+        double secs = sopr::RunRuleDense(&engine, iters);
+        results.push_back({mode, "rule_dense", rep, secs, iters / secs});
+        std::printf("rep %d rule_dense %-6s %6.3fs  (%.2f tx/s)\n", rep, mode,
+                    secs, iters / secs);
+      }
+      {
+        sopr::Engine engine(options);
+        sopr::SetupFilter(&engine);
+        sopr::RunFilter(&engine, 1);
+        double secs = sopr::RunFilter(&engine, iters);
+        results.push_back({mode, "filter", rep, secs, iters / secs});
+        std::printf("rep %d filter     %-6s %6.3fs  (%.2f q/s)\n", rep, mode,
+                    secs, iters / secs);
+      }
     }
   }
 
   const sopr::exec::ExecStatsSnapshot after =
       sopr::exec::SnapshotStats();
-  const double dense_speedup =
-      dense_secs[1] > 0 ? dense_secs[0] / dense_secs[1] : 0;
-  const double filter_speedup =
-      filter_secs[1] > 0 ? filter_secs[0] / filter_secs[1] : 0;
-  // The B18 headlines: columnar vs the B17 pointer-vector path, same
-  // workloads. filter_columnar_speedup is the acceptance number (NULL-
-  // heavy predicate scan, kernels vs pointer batch evaluation).
-  const double dense_columnar_speedup =
-      dense_secs[2] > 0 ? dense_secs[1] / dense_secs[2] : 0;
-  const double filter_columnar_speedup =
-      filter_secs[2] > 0 ? filter_secs[1] / filter_secs[2] : 0;
 
   std::ofstream json("BENCH_rule_vectorized.json");
-  json << "{\n  \"bench\": \"rule_vectorized\",\n  \"cpus\": 1,\n"
-       << "  \"runs\": [\n";
+  json << "{\n  \"bench\": \"rule_vectorized\",\n  \"cpus\": "
+       << std::thread::hardware_concurrency() << ",\n  \"threads\": 1"
+       << ",\n  \"build_type\": \"" << SOPR_BUILD_TYPE << "\""
+       << ",\n  \"iters\": " << iters << ",\n  \"repetitions\": " << reps
+       << ",\n  \"runs\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const sopr::RunResult& r = results[i];
     json << "    {\"mode\": \"" << r.mode << "\", \"workload\": \""
-         << r.workload << "\", \"iters\": " << r.iters
+         << r.workload << "\", \"rep\": " << r.rep
          << ", \"seconds\": " << r.seconds
          << ", \"tx_per_sec\": " << r.tx_per_sec << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
+  json << "  ],\n  \"summary\": [\n";
+  double speedup[2] = {0, 0};
+  for (int w = 0; w < 2; ++w) {
+    sopr::Summary s[2];
+    for (int m = 0; m < 2; ++m) {
+      s[m] = sopr::Summarize(results, kModes[m], kWorkloads[w]);
+      json << "    {\"mode\": \"" << kModes[m] << "\", \"workload\": \""
+           << kWorkloads[w] << "\", \"median_tx_per_sec\": " << s[m].median
+           << ", \"min_tx_per_sec\": " << s[m].min
+           << ", \"max_tx_per_sec\": " << s[m].max << "}"
+           << (w == 1 && m == 1 ? "" : ",") << "\n";
+    }
+    speedup[w] = s[0].median > 0 ? s[1].median / s[0].median : 0;
+  }
   // The headline is rule_dense: large transition sets joined against a
-  // base table inside rule actions, the paper's set-oriented shape. The
-  // counters prove each layer actually engaged during its runs — the
-  // hash join built tables (and, in the columnar run, built them
-  // through the bulk digest loops), the kernels ran, and nothing
-  // silently fell back to a slower path it was supposed to replace.
-  json << "  ],\n  \"rule_dense_speedup\": " << dense_speedup
-       << ",\n  \"filter_speedup\": " << filter_speedup
-       << ",\n  \"rule_dense_columnar_speedup\": " << dense_columnar_speedup
-       << ",\n  \"filter_columnar_speedup\": " << filter_columnar_speedup
+  // base table inside rule actions, the paper's set-oriented shape
+  // (speedups are batch median over row median). The counters prove
+  // each layer actually engaged during the batch runs — the hash join
+  // built tables, the kernels ran, and nothing silently fell back to a
+  // slower path it was supposed to replace.
+  json << "  ],\n  \"rule_dense_speedup\": " << speedup[0]
+       << ",\n  \"filter_speedup\": " << speedup[1]
        << ",\n  \"hash_join_builds\": "
        << after.hash_join_builds - before.hash_join_builds
-       << ",\n  \"hash_join_columnar_builds\": "
-       << after.hash_join_columnar_builds - before.hash_join_columnar_builds
-       << ",\n  \"hash_join_fallbacks\": " << after.hash_join_fallbacks
+       << ",\n  \"hash_join_fallbacks\": "
+       << after.hash_join_fallbacks - before.hash_join_fallbacks
        << ",\n  \"columnar_chunks\": "
        << after.columnar_chunks - before.columnar_chunks
        << ",\n  \"columns_built\": "
@@ -284,10 +316,8 @@ int main(int argc, char** argv) {
        << ",\n  \"pointer_fallback_preds\": "
        << after.pointer_fallback_preds - before.pointer_fallback_preds
        << "\n}\n";
-  std::cout << "wrote BENCH_rule_vectorized.json (rule_dense "
-            << dense_speedup << "x vector, " << dense_columnar_speedup
-            << "x columnar-over-vector; filter " << filter_speedup
-            << "x vector, " << filter_columnar_speedup
-            << "x columnar-over-vector)\n";
+  std::cout << "wrote BENCH_rule_vectorized.json (median batch over row: "
+            << "rule_dense " << speedup[0] << "x, filter " << speedup[1]
+            << "x)\n";
   return 0;
 }

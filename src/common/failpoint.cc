@@ -61,8 +61,8 @@ const char* const kSiteCatalog[] = {
     // cancellable sleeps. An armed failure models an asynchronous kill
     // arriving at exactly that check; the enclosing txn must abort to S0.
     "cancel.deliver",
-    // Vectorized execution layer (query/executor.cc, src/exec/):
-    // `exec.batch` fires at every batch boundary of the vectorized
+    // Batch execution layer (query/executor.cc, src/exec/):
+    // `exec.batch` fires at every batch boundary of the batch
     // pipeline (pushed filters, residual filters, DML predicate scans)
     // just before the boundary's cancellation check; `exec.hashjoin.build`
     // fires as a build/probe hash join is about to build its table. An

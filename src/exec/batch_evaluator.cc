@@ -4,41 +4,53 @@
 #include <utility>
 
 #include "exec/kernels.h"
+#include "exec/stats.h"
 
 namespace sopr {
 namespace exec {
 
 namespace {
 
-/// One value per selected position (parallel to the SelVec being
-/// evaluated): either pointers borrowed from storage — column refs and
-/// literals never copy a Value, which is where the batch path beats the
-/// per-row tree walk on string columns — or owned computed results.
-struct Slice {
-  bool borrowed = false;
-  std::vector<const Value*> ptrs;
-  std::vector<Value> vals;
-
-  const Value& at(size_t i) const { return borrowed ? *ptrs[i] : vals[i]; }
-};
+// ---------------------------------------------------------------------------
+// Columnar evaluation (docs/EXECUTION.md "The batch model").
+//
+// A pre-walk (InferTag) statically types each subtree over the decomposed
+// columns. Typeable subtrees run the dense kernels of exec/kernels.h;
+// every other leaf predicate — subqueries, aggregates, non-decomposed
+// columns, string/bool arithmetic, per-lane type divergence — evaluates
+// per selected position through the scalar evaluator (ScalarLeaf) over
+// the same selection vector, so observable behaviour is identical by
+// construction.
+// ---------------------------------------------------------------------------
 
 struct BatchCtx {
   Scope* scope;
   EvalContext* ctx;
   const RowBatch* batch;
+  const ColumnSet* cols;
 };
 
-Status EvalValue(const Expr& e, BatchCtx& c, const SelVec& sel, Slice* out);
-Status EvalPred(const Expr& e, BatchCtx& c, const SelVec& sel,
-                std::vector<TriBool>* out);
-
 /// Binds every batch binding of the innermost scope level to the rows at
-/// `pos`, for nodes that drop to per-row scalar evaluation (subqueries,
-/// aggregates) and for the whole-chunk scalar re-run.
+/// `pos`, for per-position scalar evaluation.
 void BindRows(BatchCtx& c, uint32_t pos) {
   for (size_t b = 0; b < c.batch->num_bindings(); ++b) {
     c.scope->SetRow(b, c.batch->row(b, pos));
   }
+}
+
+/// Evaluates `e` as a predicate row-at-a-time through the scalar
+/// evaluator over the selected positions, stopping at the first error.
+Status EvalRowwise(const Expr& e, BatchCtx& c, const SelVec& sel,
+                   TriVec* out) {
+  out->clear();
+  out->reserve(sel.size());
+  for (uint32_t pos : sel) {
+    BindRows(c, pos);
+    auto t = EvaluatePredicate(e, *c.scope, *c.ctx);
+    if (!t.ok()) return t.status();
+    out->push_back(t.value());
+  }
+  return Status::OK();
 }
 
 /// Resolution of a column ref against the batch: either one of the
@@ -62,229 +74,6 @@ Status ResolveRef(const ColumnRefExpr& ref, BatchCtx& c, bool* in_batch,
   return Status::OK();
 }
 
-/// Short-circuit AND/OR over the batch: the right operand is evaluated
-/// only for positions the left operand did not decide, via a narrowed
-/// selection vector — the same (row, subexpression) pairs the scalar
-/// evaluator visits, operator-at-a-time.
-Status EvalLogical(const BinaryExpr& b, BatchCtx& c, const SelVec& sel,
-                   std::vector<TriBool>* out) {
-  const bool is_and = b.op == BinaryOp::kAnd;
-  std::vector<TriBool> lt;
-  SOPR_RETURN_NOT_OK(EvalPred(*b.left, c, sel, &lt));
-
-  SelVec rhs_sel;
-  std::vector<uint32_t> rhs_idx;  // index into `sel` for each rhs entry
-  for (size_t i = 0; i < sel.size(); ++i) {
-    const bool decided =
-        is_and ? lt[i] == TriBool::kFalse : lt[i] == TriBool::kTrue;
-    if (!decided) {
-      rhs_sel.push_back(sel[i]);
-      rhs_idx.push_back(static_cast<uint32_t>(i));
-    }
-  }
-
-  std::vector<TriBool> rt;
-  if (!rhs_sel.empty()) {
-    SOPR_RETURN_NOT_OK(EvalPred(*b.right, c, rhs_sel, &rt));
-  }
-
-  *out = std::move(lt);
-  for (size_t j = 0; j < rhs_idx.size(); ++j) {
-    TriBool& slot = (*out)[rhs_idx[j]];
-    slot = is_and ? TriAnd(slot, rt[j]) : TriOr(slot, rt[j]);
-  }
-  return Status::OK();
-}
-
-/// Nodes the batch path evaluates position-at-a-time through the scalar
-/// evaluator (subqueries and aggregate lookups): binds the batch rows
-/// into the scope and calls Evaluate, exactly as the row path does.
-Status EvalPerRowScalar(const Expr& e, BatchCtx& c, const SelVec& sel,
-                        Slice* out) {
-  out->borrowed = false;
-  out->vals.reserve(sel.size());
-  for (uint32_t pos : sel) {
-    BindRows(c, pos);
-    auto v = Evaluate(e, *c.scope, *c.ctx);
-    if (!v.ok()) return v.status();
-    out->vals.push_back(std::move(v).value());
-  }
-  return Status::OK();
-}
-
-Status EvalValue(const Expr& e, BatchCtx& c, const SelVec& sel, Slice* out) {
-  const size_t n = sel.size();
-  switch (e.kind) {
-    case ExprKind::kLiteral: {
-      out->borrowed = true;
-      out->ptrs.assign(n, &static_cast<const LiteralExpr&>(e).value);
-      return Status::OK();
-    }
-
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      bool in_batch = false;
-      size_t binding = 0, column = 0;
-      const Row* outer_row = nullptr;
-      SOPR_RETURN_NOT_OK(
-          ResolveRef(ref, c, &in_batch, &binding, &column, &outer_row));
-      out->borrowed = true;
-      out->ptrs.resize(n);
-      if (!in_batch) {
-        if (outer_row == nullptr) {
-          return Status::Internal("column " + ref.ToString() +
-                                  " referenced outside row context");
-        }
-        const Value* v = &outer_row->at(column);
-        for (size_t i = 0; i < n; ++i) out->ptrs[i] = v;
-        return Status::OK();
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const Row* row = c.batch->row(binding, sel[i]);
-        if (row == nullptr) {
-          return Status::Internal("column " + ref.ToString() +
-                                  " referenced outside row context");
-        }
-        out->ptrs[i] = &row->at(column);
-      }
-      return Status::OK();
-    }
-
-    case ExprKind::kUnary: {
-      const auto& unary = static_cast<const UnaryExpr&>(e);
-      if (unary.op == UnaryOp::kNeg) {
-        Slice operand;
-        SOPR_RETURN_NOT_OK(EvalValue(*unary.operand, c, sel, &operand));
-        out->borrowed = false;
-        out->vals.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          auto v = Value::Negate(operand.at(i));
-          if (!v.ok()) return v.status();
-          out->vals.push_back(std::move(v).value());
-        }
-        return Status::OK();
-      }
-      std::vector<TriBool> t;
-      SOPR_RETURN_NOT_OK(EvalPred(*unary.operand, c, sel, &t));
-      out->borrowed = false;
-      out->vals.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        out->vals.push_back(TriBoolToValue(TriNot(t[i])));
-      }
-      return Status::OK();
-    }
-
-    case ExprKind::kBinary: {
-      const auto& binary = static_cast<const BinaryExpr&>(e);
-      if (binary.op == BinaryOp::kAnd || binary.op == BinaryOp::kOr) {
-        std::vector<TriBool> t;
-        SOPR_RETURN_NOT_OK(EvalLogical(binary, c, sel, &t));
-        out->borrowed = false;
-        out->vals.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          out->vals.push_back(TriBoolToValue(t[i]));
-        }
-        return Status::OK();
-      }
-      Slice left, right;
-      SOPR_RETURN_NOT_OK(EvalValue(*binary.left, c, sel, &left));
-      SOPR_RETURN_NOT_OK(EvalValue(*binary.right, c, sel, &right));
-      out->borrowed = false;
-      out->vals.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        auto v = EvaluateBinaryValue(binary.op, left.at(i), right.at(i));
-        if (!v.ok()) return v.status();
-        out->vals.push_back(std::move(v).value());
-      }
-      return Status::OK();
-    }
-
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      Slice needle;
-      SOPR_RETURN_NOT_OK(EvalValue(*in.operand, c, sel, &needle));
-      std::vector<Slice> items(in.items.size());
-      for (size_t k = 0; k < in.items.size(); ++k) {
-        SOPR_RETURN_NOT_OK(EvalValue(*in.items[k], c, sel, &items[k]));
-      }
-      out->borrowed = false;
-      out->vals.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        // Inline MembershipTri over the item slices (no Value copies).
-        bool saw_unknown = false;
-        TriBool t = TriBool::kFalse;
-        for (const Slice& item : items) {
-          TriBool eq = needle.at(i).SqlEquals(item.at(i));
-          if (eq == TriBool::kTrue) {
-            t = TriBool::kTrue;
-            break;
-          }
-          if (eq == TriBool::kUnknown) saw_unknown = true;
-        }
-        if (t != TriBool::kTrue && saw_unknown) t = TriBool::kUnknown;
-        out->vals.push_back(TriBoolToValue(in.negated ? TriNot(t) : t));
-      }
-      return Status::OK();
-    }
-
-    case ExprKind::kIsNull: {
-      const auto& isnull = static_cast<const IsNullExpr&>(e);
-      Slice operand;
-      SOPR_RETURN_NOT_OK(EvalValue(*isnull.operand, c, sel, &operand));
-      out->borrowed = false;
-      out->vals.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        bool null = operand.at(i).is_null();
-        out->vals.push_back(Value::Bool(isnull.negated ? !null : null));
-      }
-      return Status::OK();
-    }
-
-    case ExprKind::kBetween: {
-      const auto& between = static_cast<const BetweenExpr&>(e);
-      Slice v, lo, hi;
-      SOPR_RETURN_NOT_OK(EvalValue(*between.operand, c, sel, &v));
-      SOPR_RETURN_NOT_OK(EvalValue(*between.low, c, sel, &lo));
-      SOPR_RETURN_NOT_OK(EvalValue(*between.high, c, sel, &hi));
-      out->borrowed = false;
-      out->vals.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        TriBool ge = TriNot(v.at(i).SqlLess(lo.at(i)));
-        TriBool le = TriNot(hi.at(i).SqlLess(v.at(i)));
-        TriBool t = TriAnd(ge, le);
-        out->vals.push_back(TriBoolToValue(between.negated ? TriNot(t) : t));
-      }
-      return Status::OK();
-    }
-
-    case ExprKind::kInSubquery:
-    case ExprKind::kExists:
-    case ExprKind::kScalarSubquery:
-    case ExprKind::kAggregate:
-      return EvalPerRowScalar(e, c, sel, out);
-  }
-  return Status::Internal("unhandled expression kind");
-}
-
-Status EvalPred(const Expr& e, BatchCtx& c, const SelVec& sel,
-                std::vector<TriBool>* out) {
-  if (e.kind == ExprKind::kBinary) {
-    const auto& binary = static_cast<const BinaryExpr&>(e);
-    if (binary.op == BinaryOp::kAnd || binary.op == BinaryOp::kOr) {
-      return EvalLogical(binary, c, sel, out);
-    }
-  }
-  Slice s;
-  SOPR_RETURN_NOT_OK(EvalValue(e, c, sel, &s));
-  out->resize(sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) {
-    auto t = PredicateTriFromValue(s.at(i));
-    if (!t.ok()) return t.status();
-    (*out)[i] = t.value();
-  }
-  return Status::OK();
-}
-
 /// Position-dependent evaluation errors re-run through the scalar path
 /// for exact row-order error reporting; everything else (cancellation,
 /// timeouts, injected faults, lock trouble surfaced through subqueries)
@@ -301,37 +90,12 @@ bool ShouldFallback(StatusCode code) {
   }
 }
 
-/// The authoritative row-order re-run both wrappers share after an
-/// evaluation-class error.
+/// The authoritative row-order re-run after an evaluation-class error.
 Status ScalarRerun(const Expr& expr, BatchCtx& c, const SelVec& sel,
-                   std::vector<TriBool>* out) {
+                   TriVec* out) {
   GlobalStats().scalar_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  out->clear();
-  out->reserve(sel.size());
-  for (uint32_t pos : sel) {
-    BindRows(c, pos);
-    auto t = EvaluatePredicate(expr, *c.scope, *c.ctx);
-    if (!t.ok()) return t.status();
-    out->push_back(t.value());
-  }
-  return Status::OK();
+  return EvalRowwise(expr, c, sel, out);
 }
-
-// ---------------------------------------------------------------------------
-// Columnar evaluation (docs/EXECUTION.md "Columnar chunks").
-//
-// A pre-walk (InferTag) statically types each subtree over the decomposed
-// columns. Typeable subtrees run the dense kernels of exec/kernels.h;
-// everything else — subqueries, aggregates, non-decomposed columns,
-// string/bool arithmetic, per-lane type divergence — evaluates through
-// the PR 9 pointer path (EvalPred/EvalValue above) over the same
-// selection vector, so observable behaviour is identical by construction.
-// ---------------------------------------------------------------------------
-
-struct CCtx {
-  BatchCtx base;
-  const ColumnSet* cols;
-};
 
 /// Static type of a columnar-eligible value expression. kNull = the
 /// expression is NULL at every lane (its type never materializes).
@@ -380,12 +144,12 @@ bool IsCompareOp(BinaryOp op) {
 }
 
 /// Infers the static columnar type of `e`, or nullopt when the subtree
-/// must run the pointer path. Eligibility is conservative: a subtree is
+/// must run as a scalar leaf. Eligibility is conservative: a subtree is
 /// eligible only when the kernels provably reproduce the scalar
 /// evaluator's per-lane values AND per-lane error behaviour. NOT/AND/OR
 /// are always eligible at this level because their operands are
 /// evaluated as predicates (CEvalPred), which falls back per-side.
-std::optional<CTag> InferTag(const Expr& e, CCtx& c) {
+std::optional<CTag> InferTag(const Expr& e, BatchCtx& c) {
   switch (e.kind) {
     case ExprKind::kLiteral:
       return TagOfValue(static_cast<const LiteralExpr&>(e).value);
@@ -395,9 +159,9 @@ std::optional<CTag> InferTag(const Expr& e, CCtx& c) {
       bool in_batch = false;
       size_t binding = 0, column = 0;
       const Row* outer_row = nullptr;
-      Status s = ResolveRef(ref, c.base, &in_batch, &binding, &column,
+      Status s = ResolveRef(ref, c, &in_batch, &binding, &column,
                             &outer_row);
-      if (!s.ok()) return std::nullopt;  // pointer path raises it
+      if (!s.ok()) return std::nullopt;  // the scalar leaf raises it
       if (in_batch) {
         const ColumnVector* cv = c.cols->Find(binding, column);
         if (cv == nullptr) return std::nullopt;  // not decomposed
@@ -413,7 +177,7 @@ std::optional<CTag> InferTag(const Expr& e, CCtx& c) {
       auto t = InferTag(*unary.operand, c);
       if (!t.has_value()) return std::nullopt;
       // Negate: NULL propagates; numerics negate; anything else is a
-      // per-lane TypeError (pointer path).
+      // per-lane TypeError (scalar leaf).
       if (*t == CTag::kNum || *t == CTag::kNull) return *t;
       return std::nullopt;
     }
@@ -429,7 +193,7 @@ std::optional<CTag> InferTag(const Expr& e, CCtx& c) {
       if (IsCompareOp(binary.op)) return CTag::kBool;
       // Arithmetic. NULL wins before type checks (Value::Add et al.), so
       // an all-NULL side makes the result all-NULL whatever the other
-      // side's type; string concatenation and type errors run pointered.
+      // side's type; string concatenation and type errors run as scalar leaves.
       if (*lt == CTag::kNull || *rt == CTag::kNull) return CTag::kNull;
       if (*lt == CTag::kNum && *rt == CTag::kNum) return CTag::kNum;
       return std::nullopt;
@@ -493,14 +257,15 @@ const std::vector<uint8_t>& NullMaskOf(const CSlice& s) {
   return s.bools.null;
 }
 
-Status CEvalValue(const Expr& e, CCtx& c, const SelVec& sel, CSlice* out);
-Status CEvalPred(const Expr& e, CCtx& c, const SelVec& sel, TriVec* out);
+Status CEvalValue(const Expr& e, BatchCtx& c, const SelVec& sel, CSlice* out);
+Status CEvalPred(const Expr& e, BatchCtx& c, const SelVec& sel, TriVec* out);
 
-/// Leaf predicates without a kernel run the PR 9 pointer path over the
-/// same selection vector.
-Status PointerPred(const Expr& e, CCtx& c, const SelVec& sel, TriVec* out) {
+/// Leaf predicates without a kernel evaluate per selected position
+/// through the scalar evaluator over the same selection vector.
+Status ScalarLeaf(const Expr& e, BatchCtx& c, const SelVec& sel,
+                  TriVec* out) {
   GlobalStats().pointer_fallback_preds.fetch_add(1, std::memory_order_relaxed);
-  return EvalPred(e, c.base, sel, out);
+  return EvalRowwise(e, c, sel, out);
 }
 
 void TriVecToBoolSlice(const TriVec& t, CSlice* out) {
@@ -555,7 +320,7 @@ void CmpSlices(BinaryOp op, const CSlice& a, const CSlice& b, size_t n,
   }
 }
 
-Status CCompare(const BinaryExpr& binary, CCtx& c, const SelVec& sel,
+Status CCompare(const BinaryExpr& binary, BatchCtx& c, const SelVec& sel,
                 TriVec* out) {
   CSlice a, b;
   SOPR_RETURN_NOT_OK(CEvalValue(*binary.left, c, sel, &a));
@@ -567,7 +332,7 @@ Status CCompare(const BinaryExpr& binary, CCtx& c, const SelVec& sel,
 /// v BETWEEN lo AND hi ≡ TriAnd(TriNot(v < lo), TriNot(hi < v)) — the
 /// exact composition the scalar evaluator uses, built from the kGe/kLe
 /// kernels (which implement those TriNot forms, NaN-exactly).
-Status CBetween(const BetweenExpr& be, CCtx& c, const SelVec& sel,
+Status CBetween(const BetweenExpr& be, BatchCtx& c, const SelVec& sel,
                 TriVec* out) {
   const size_t n = sel.size();
   CSlice v, lo, hi;
@@ -587,7 +352,7 @@ Status CBetween(const BetweenExpr& be, CCtx& c, const SelVec& sel,
 
 /// IN list as a TriOr fold of equality kernels: any kTrue wins, else any
 /// kUnknown, else kFalse — MembershipTri exactly.
-Status CInList(const InListExpr& in, CCtx& c, const SelVec& sel,
+Status CInList(const InListExpr& in, BatchCtx& c, const SelVec& sel,
                TriVec* out) {
   GlobalStats().kernel_membership.fetch_add(1, std::memory_order_relaxed);
   const size_t n = sel.size();
@@ -607,10 +372,12 @@ Status CInList(const InListExpr& in, CCtx& c, const SelVec& sel,
   return Status::OK();
 }
 
-/// AND/OR with the same lazily narrowed selection vectors as
-/// EvalLogical; each side independently picks kernels or the pointer
-/// path through CEvalPred.
-Status CEvalLogical(const BinaryExpr& b, CCtx& c, const SelVec& sel,
+/// Short-circuit AND/OR over the batch: the right operand is evaluated
+/// only for positions the left operand did not decide, via a narrowed
+/// selection vector — the same (row, subexpression) pairs the scalar
+/// evaluator visits, operator-at-a-time. Each side independently picks
+/// kernels or a scalar leaf through CEvalPred.
+Status CEvalLogical(const BinaryExpr& b, BatchCtx& c, const SelVec& sel,
                     TriVec* out) {
   GlobalStats().kernel_logical.fetch_add(1, std::memory_order_relaxed);
   const bool is_and = b.op == BinaryOp::kAnd;
@@ -641,7 +408,7 @@ Status CEvalLogical(const BinaryExpr& b, CCtx& c, const SelVec& sel,
   return Status::OK();
 }
 
-Status CEvalValue(const Expr& e, CCtx& c, const SelVec& sel, CSlice* out) {
+Status CEvalValue(const Expr& e, BatchCtx& c, const SelVec& sel, CSlice* out) {
   const size_t n = sel.size();
   out->n = n;
   switch (e.kind) {
@@ -658,7 +425,7 @@ Status CEvalValue(const Expr& e, CCtx& c, const SelVec& sel, CSlice* out) {
       size_t binding = 0, column = 0;
       const Row* outer_row = nullptr;
       SOPR_RETURN_NOT_OK(
-          ResolveRef(ref, c.base, &in_batch, &binding, &column, &outer_row));
+          ResolveRef(ref, c, &in_batch, &binding, &column, &outer_row));
       if (!in_batch) {
         // Outer-scope binding: one row, constant across the batch.
         const Value& v = outer_row->at(column);
@@ -757,12 +524,12 @@ Status CEvalValue(const Expr& e, CCtx& c, const SelVec& sel, CSlice* out) {
     case ExprKind::kExists:
     case ExprKind::kScalarSubquery:
     case ExprKind::kAggregate:
-      break;  // never eligible; InferTag routed these to the pointer path
+      break;  // never eligible; InferTag routed these to a scalar leaf
   }
   return Status::Internal("columnar evaluation of ineligible expression");
 }
 
-Status CEvalPred(const Expr& e, CCtx& c, const SelVec& sel, TriVec* out) {
+Status CEvalPred(const Expr& e, BatchCtx& c, const SelVec& sel, TriVec* out) {
   const size_t n = sel.size();
   switch (e.kind) {
     case ExprKind::kBinary: {
@@ -775,7 +542,7 @@ Status CEvalPred(const Expr& e, CCtx& c, const SelVec& sel, TriVec* out) {
             InferTag(*binary.right, c).has_value()) {
           return CCompare(binary, c, sel, out);
         }
-        return PointerPred(e, c, sel, out);
+        return ScalarLeaf(e, c, sel, out);
       }
       break;  // arithmetic as a predicate: generic leaf handling below
     }
@@ -793,7 +560,7 @@ Status CEvalPred(const Expr& e, CCtx& c, const SelVec& sel, TriVec* out) {
     case ExprKind::kIsNull: {
       const auto& isnull = static_cast<const IsNullExpr&>(e);
       if (!InferTag(*isnull.operand, c).has_value()) {
-        return PointerPred(e, c, sel, out);
+        return ScalarLeaf(e, c, sel, out);
       }
       CSlice s;
       SOPR_RETURN_NOT_OK(CEvalValue(*isnull.operand, c, sel, &s));
@@ -811,13 +578,13 @@ Status CEvalPred(const Expr& e, CCtx& c, const SelVec& sel, TriVec* out) {
       if (InferTag(e, c).has_value()) {
         return CInList(static_cast<const InListExpr&>(e), c, sel, out);
       }
-      return PointerPred(e, c, sel, out);
+      return ScalarLeaf(e, c, sel, out);
 
     case ExprKind::kBetween:
       if (InferTag(e, c).has_value()) {
         return CBetween(static_cast<const BetweenExpr&>(e), c, sel, out);
       }
-      return PointerPred(e, c, sel, out);
+      return ScalarLeaf(e, c, sel, out);
 
     default:
       break;
@@ -825,11 +592,11 @@ Status CEvalPred(const Expr& e, CCtx& c, const SelVec& sel, TriVec* out) {
 
   // Generic leaf: a boolean-or-NULL value expression converts lanewise
   // (NULL -> kUnknown, exactly PredicateTriFromValue); any other static
-  // type is a per-lane TypeError or unsupported node -> pointer path.
+  // type is a per-lane TypeError or unsupported node -> scalar leaf.
   auto tag = InferTag(e, c);
   if (!tag.has_value() ||
       (*tag != CTag::kBool && *tag != CTag::kNull)) {
-    return PointerPred(e, c, sel, out);
+    return ScalarLeaf(e, c, sel, out);
   }
   CSlice s;
   SOPR_RETURN_NOT_OK(CEvalValue(e, c, sel, &s));
@@ -848,26 +615,6 @@ Status CEvalPred(const Expr& e, CCtx& c, const SelVec& sel, TriVec* out) {
 
 }  // namespace
 
-Status EvaluatePredicateBatch(const Expr& expr, Scope* scope,
-                              EvalContext& ctx, const RowBatch& batch,
-                              const SelVec& sel, std::vector<TriBool>* out) {
-  out->clear();
-  if (sel.empty()) return Status::OK();
-  GlobalStats().batches.fetch_add(1, std::memory_order_relaxed);
-
-  BatchCtx c{scope, &ctx, &batch};
-  Status s = EvalPred(expr, c, sel, out);
-  if (s.ok()) return s;
-  if (!ShouldFallback(s.code())) return s;
-
-  // The batch pass hit an evaluation error. Re-run the same positions
-  // row-at-a-time: both passes visit the same (row, subexpression)
-  // pairs, so whatever the row path reports — the same error at its
-  // first erroring row, or (if the batch error was spurious) a clean
-  // result — is the authoritative outcome.
-  return ScalarRerun(expr, c, sel, out);
-}
-
 Status EvaluatePredicateColumnar(const Expr& expr, Scope* scope,
                                  EvalContext& ctx, const RowBatch& batch,
                                  const ColumnSet& cols, const SelVec& sel,
@@ -877,15 +624,17 @@ Status EvaluatePredicateColumnar(const Expr& expr, Scope* scope,
   GlobalStats().batches.fetch_add(1, std::memory_order_relaxed);
   GlobalStats().columnar_chunks.fetch_add(1, std::memory_order_relaxed);
 
-  CCtx c{BatchCtx{scope, &ctx, &batch}, &cols};
+  BatchCtx c{scope, &ctx, &batch, &cols};
   Status s = CEvalPred(expr, c, sel, out);
   if (s.ok()) return s;
   if (!ShouldFallback(s.code())) return s;
 
-  // Same contract as EvaluatePredicateBatch: evaluation-class errors may
-  // surface out of row order (kernels check whole lanes), so the scalar
-  // re-run over the same positions is authoritative.
-  return ScalarRerun(expr, c.base, sel, out);
+  // The batch pass hit an evaluation error, possibly out of row order
+  // (kernels check whole lanes). Re-run the same positions row-at-a-time:
+  // both passes visit the same (row, subexpression) pairs, so whatever
+  // the row path reports — the same error at its first erroring row, or
+  // (if the batch error was spurious) a clean result — is authoritative.
+  return ScalarRerun(expr, c, sel, out);
 }
 
 }  // namespace exec

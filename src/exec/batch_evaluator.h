@@ -15,7 +15,7 @@ namespace exec {
 /// one batch: (binding, column) -> ColumnVector, indexed by the SAME
 /// positions as the RowBatch. Sparse by design — only columns the
 /// predicate actually touches get decomposed; a lookup miss routes that
-/// leaf to the pointer path.
+/// leaf to the scalar evaluator.
 class ColumnSet {
  public:
   void Add(size_t binding, size_t column, const ColumnVector* cv) {
@@ -39,7 +39,14 @@ class ColumnSet {
 };
 
 /// Evaluates `expr` as a predicate over every selected position of
-/// `batch`, writing one TriBool per entry of `sel` (parallel order).
+/// `batch`, writing one TriBool per entry of `sel` (parallel order) — the
+/// batch engine's only entry point. Where an expression subtree is
+/// statically typeable over the decomposed columns in `cols`, it runs the
+/// branch-light typed kernels of exec/kernels.h; every other leaf
+/// predicate is evaluated per selected position by the scalar evaluator
+/// over the same selection vector (counted in
+/// exec::GlobalStats().pointer_fallback_preds). `cols` may be empty, in
+/// which case every leaf takes that scalar path.
 ///
 /// Contract (the differential-oracle guarantee; docs/EXECUTION.md):
 /// exactly the same (row, subexpression) pairs are evaluated as the
@@ -54,27 +61,9 @@ class ColumnSet {
 /// propagate immediately without the re-run.
 ///
 /// `scope` must have the batch's bindings at its innermost level; its
-/// row pointers are clobbered (subquery nodes and the scalar re-run bind
-/// rows through it) and are not restored.
-Status EvaluatePredicateBatch(const Expr& expr, Scope* scope,
-                              EvalContext& ctx, const RowBatch& batch,
-                              const SelVec& sel, std::vector<TriBool>* out);
-
-/// Columnar variant of EvaluatePredicateBatch: where an expression
-/// subtree is statically typeable over decomposed columns (`cols`), it
-/// runs the branch-light typed kernels of exec/kernels.h; every other
-/// leaf predicate drops to the PR 9 pointer path over the same selection
-/// vector (per-expression fallback, counted in
-/// exec::GlobalStats().pointer_fallback_preds). The differential-oracle
-/// contract is IDENTICAL to EvaluatePredicateBatch — same TriBools, same
-/// visited (row, subexpression) pairs for short-circuiting, same
-/// whole-chunk scalar re-run on evaluation-class errors — because the
-/// kernels reproduce Value's comparison/arithmetic semantics lane-exactly
-/// and anything they cannot type falls back.
-///
-/// `batch` must still carry row pointers for every selected position
-/// (the pointer fallback and the scalar re-run need them); `cols` may be
-/// empty, in which case every leaf falls back.
+/// row pointers are clobbered (scalar leaves and the re-run bind rows
+/// through it) and are not restored. `batch` must carry row pointers for
+/// every selected position.
 Status EvaluatePredicateColumnar(const Expr& expr, Scope* scope,
                                  EvalContext& ctx, const RowBatch& batch,
                                  const ColumnSet& cols, const SelVec& sel,

@@ -25,8 +25,8 @@ namespace exec {
 /// A column decomposes only if every non-NULL value matches the single
 /// tag derived from the column's declared type. SQL columns are typed,
 /// so this holds for every row that came out of storage; if it ever does
-/// not (defensive check), decomposition is refused and the expression
-/// falls back to the PR 9 pointer path for that column.
+/// not (defensive check), decomposition is refused and the leaves that
+/// read the column fall back to the scalar evaluator.
 class ColumnVector {
  public:
   enum class Tag : uint8_t { kInt64, kDouble, kString, kBool };

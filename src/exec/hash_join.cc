@@ -5,6 +5,7 @@
 #include "common/cancel.h"
 #include "common/digest.h"
 #include "exec/row_batch.h"
+#include "exec/stats.h"
 
 namespace sopr {
 namespace exec {
@@ -68,90 +69,6 @@ Result<bool> JoinHashTable::Build(const std::vector<Row>& rows,
     buckets_[digest::Finalize(h)].push_back(static_cast<uint32_t>(r));
   }
   GlobalStats().hash_join_builds.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-Result<bool> JoinHashTable::BuildColumnar(
-    const std::vector<Row>& rows, std::vector<size_t> key_cols,
-    size_t max_build_rows, const std::vector<const ColumnVector*>& key_vecs) {
-  if (max_build_rows != 0 && rows.size() > max_build_rows) {
-    GlobalStats().hash_join_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const size_t n = rows.size();
-  rows_ = &rows;
-  key_cols_ = std::move(key_cols);
-  buckets_.clear();
-  buckets_.reserve(n);
-
-  // Column-major digest accumulation: one monomorphic pass per key
-  // column, no per-row type dispatch. Must stay bit-compatible with
-  // Build's per-row CombineKeyHash fold.
-  std::vector<uint64_t> h(n, digest::kFnvOffset);
-  std::vector<uint8_t> null_key(n, 0);
-  for (const ColumnVector* cv : key_vecs) {
-    const uint8_t* nulls = cv->nulls();
-    switch (cv->tag()) {
-      case ColumnVector::Tag::kInt64: {
-        const int64_t* vals = cv->i64();
-        for (size_t r = 0; r < n; ++r) {
-          null_key[r] |= nulls[r];
-          // (double)int is never -0.0, so no collapse needed here.
-          const double d = static_cast<double>(vals[r]);
-          uint64_t bits;
-          std::memcpy(&bits, &d, sizeof(bits));
-          h[r] = digest::MixU64(
-              h[r], digest::Finalize(digest::MixU64(digest::kFnvOffset, bits)));
-        }
-        break;
-      }
-      case ColumnVector::Tag::kDouble: {
-        const double* vals = cv->f64();
-        for (size_t r = 0; r < n; ++r) {
-          null_key[r] |= nulls[r];
-          double d = vals[r];
-          if (d == 0.0) d = 0.0;  // collapse -0.0 onto +0.0
-          uint64_t bits;
-          std::memcpy(&bits, &d, sizeof(bits));
-          h[r] = digest::MixU64(
-              h[r], digest::Finalize(digest::MixU64(digest::kFnvOffset, bits)));
-        }
-        break;
-      }
-      case ColumnVector::Tag::kString: {
-        const std::string* const* vals = cv->str();
-        for (size_t r = 0; r < n; ++r) {
-          null_key[r] |= nulls[r];
-          if (nulls[r]) continue;  // no string to digest at NULL rows
-          h[r] = digest::MixU64(
-              h[r], digest::Finalize(
-                        digest::MixString(digest::kFnvOffset, *vals[r])));
-        }
-        break;
-      }
-      case ColumnVector::Tag::kBool: {
-        const uint8_t* vals = cv->b8();
-        for (size_t r = 0; r < n; ++r) {
-          null_key[r] |= nulls[r];
-          h[r] = digest::MixU64(
-              h[r], digest::Finalize(digest::MixU64(digest::kFnvOffset,
-                                                    vals[r] ? 2 : 1)));
-        }
-        break;
-      }
-    }
-  }
-
-  for (size_t r = 0; r < n; ++r) {
-    if (r % kBatchRows == 0) {
-      SOPR_RETURN_NOT_OK(CheckCancel("hash join build"));
-    }
-    if (null_key[r]) continue;  // NULL keys are never inserted
-    buckets_[digest::Finalize(h[r])].push_back(static_cast<uint32_t>(r));
-  }
-  GlobalStats().hash_join_builds.fetch_add(1, std::memory_order_relaxed);
-  GlobalStats().hash_join_columnar_builds.fetch_add(1,
-                                                    std::memory_order_relaxed);
   return true;
 }
 

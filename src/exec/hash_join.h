@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/column_vector.h"
 #include "types/row.h"
 #include "types/value.h"
 
@@ -26,26 +25,15 @@ uint64_t HashJoinKeyValue(const Value& v);
 /// SQL equality semantics.
 class JoinHashTable {
  public:
-  /// Builds over `rows` keyed by `key_cols`. Returns false when a
-  /// non-zero `max_build_rows` is exceeded (hash-join memory
-  /// discipline: the caller falls back to the nested-loop path instead
-  /// of growing the table without bound; docs/EXECUTION.md). Checks
-  /// cancellation at batch boundaries during the build.
+  /// Builds over `rows` keyed by `key_cols`, digesting each key with the
+  /// same per-column fold Probe uses, so build and probe agree by
+  /// construction. Returns false when a non-zero `max_build_rows` is
+  /// exceeded (hash-join memory discipline: the caller falls back to the
+  /// nested-loop path instead of growing the table without bound;
+  /// docs/EXECUTION.md). Checks cancellation at batch boundaries during
+  /// the build.
   Result<bool> Build(const std::vector<Row>& rows,
                      std::vector<size_t> key_cols, size_t max_build_rows);
-
-  /// Columnar build: identical table, keys digested by monomorphic bulk
-  /// loops over decomposed key columns (`key_vecs`, parallel to
-  /// `key_cols`, each spanning all of `rows`) instead of a per-row
-  /// Value-type switch. Same normalization (numerics through double
-  /// bits, -0.0 collapsed), same NULL-key skip, same ascending build-row
-  /// bucket order — bucket contents are bit-identical to Build's.
-  /// Counted in exec stats hash_join_columnar_builds (as well as
-  /// hash_join_builds).
-  Result<bool> BuildColumnar(const std::vector<Row>& rows,
-                             std::vector<size_t> key_cols,
-                             size_t max_build_rows,
-                             const std::vector<const ColumnVector*>& key_vecs);
 
   /// Appends to `out` the build-row indices whose key columns all
   /// SqlEquals the probe values (one per key column, same order as

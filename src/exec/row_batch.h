@@ -4,16 +4,12 @@
 #include <cstdint>
 #include <vector>
 
-// ExecStats historically lived here; it moved to exec/stats.h when the
-// columnar layer grew per-kernel counters. Kept included so existing
-// `#include "exec/row_batch.h"` users still see GlobalStats().
-#include "exec/stats.h"
 #include "types/row.h"
 
 namespace sopr {
 namespace exec {
 
-/// Rows per batch in the vectorized pipeline (docs/EXECUTION.md). Matches
+/// Rows per batch in the batch pipeline (docs/EXECUTION.md). Matches
 /// the executor's cancellation-check granularity so every batch boundary
 /// is also a kill-delivery point.
 constexpr size_t kBatchRows = 1024;

@@ -47,6 +47,14 @@ Result<Scope::Resolved> Scope::ResolveColumn(const std::string& qualifier,
   return Status::CatalogError("unknown column: " + column);
 }
 
+namespace {
+
+// Value kernels of the evaluator. The batch engine's columnar kernels
+// (src/exec/kernels.h) reproduce these lane-exactly; everything else it
+// evaluates comes back through Evaluate/EvaluatePredicate
+// (docs/EXECUTION.md).
+
+/// Boolean/NULL encoding of a truth value: SQL `unknown` is NULL.
 Value TriBoolToValue(TriBool t) {
   switch (t) {
     case TriBool::kTrue:
@@ -59,6 +67,8 @@ Value TriBoolToValue(TriBool t) {
   return Value::Null();
 }
 
+/// Interprets a value as a predicate result; non-boolean non-null values
+/// are a type error.
 Result<TriBool> PredicateTriFromValue(const Value& v) {
   if (v.is_null()) return TriBool::kUnknown;
   if (v.type() == ValueType::kBool) {
@@ -69,6 +79,9 @@ Result<TriBool> PredicateTriFromValue(const Value& v) {
                            v.ToString());
 }
 
+/// The non-logical binary operators (arithmetic and comparisons) as a
+/// pure value kernel. kAnd/kOr are not handled here — they short-circuit
+/// in Evaluate's control flow.
 Result<Value> EvaluateBinaryValue(BinaryOp op, const Value& left,
                                   const Value& right) {
   switch (op) {
@@ -97,6 +110,8 @@ Result<Value> EvaluateBinaryValue(BinaryOp op, const Value& left,
   }
 }
 
+/// SQL membership test (`needle IN (haystack...)`) with three-valued
+/// logic: any kUnknown comparison taints a miss into kUnknown.
 TriBool MembershipTri(const Value& needle, const std::vector<Value>& haystack) {
   bool saw_unknown = false;
   for (const Value& candidate : haystack) {
@@ -106,8 +121,6 @@ TriBool MembershipTri(const Value& needle, const std::vector<Value>& haystack) {
   }
   return saw_unknown ? TriBool::kUnknown : TriBool::kFalse;
 }
-
-namespace {
 
 Result<Value> EvaluateScalarSubquery(const SelectStmt& select,
                                      const Scope& scope, EvalContext& ctx) {

@@ -77,28 +77,6 @@ struct EvalContext {
 Result<Value> Evaluate(const Expr& expr, const Scope& scope,
                        EvalContext& ctx);
 
-// Shared value kernels. Both the row-at-a-time evaluator and the batch
-// evaluator (src/exec/batch_evaluator.cc) call exactly these, so the two
-// paths cannot diverge on three-valued logic, type errors, or messages
-// (the differential-oracle contract; docs/EXECUTION.md).
-
-/// Boolean/NULL encoding of a truth value: SQL `unknown` is NULL.
-Value TriBoolToValue(TriBool t);
-
-/// Interprets a value as a predicate result; non-boolean non-null values
-/// are a type error.
-Result<TriBool> PredicateTriFromValue(const Value& v);
-
-/// The non-logical binary operators (arithmetic and comparisons) as a
-/// pure value kernel. kAnd/kOr are not handled here — they short-circuit
-/// in each evaluator's control flow.
-Result<Value> EvaluateBinaryValue(BinaryOp op, const Value& left,
-                                  const Value& right);
-
-/// SQL membership test (`needle IN (haystack...)`) with three-valued
-/// logic: any kUnknown comparison taints a miss into kUnknown.
-TriBool MembershipTri(const Value& needle, const std::vector<Value>& haystack);
-
 /// Evaluates `expr` as a predicate with three-valued logic. Non-boolean,
 /// non-null results are a type error.
 Result<TriBool> EvaluatePredicate(const Expr& expr, const Scope& scope,

@@ -22,7 +22,7 @@ namespace {
 constexpr size_t kCancelCheckBatch = 1024;
 
 /// Mirrors the batch evaluator's fallback classification: these are
-/// row-position-dependent evaluation errors where the vectorized UPDATE
+/// row-position-dependent evaluation errors where the batch UPDATE
 /// re-runs the whole scan row-at-a-time so the reported error is the one
 /// the row path hits first (it interleaves predicate and assignment
 /// evaluation per row; batches evaluate the predicate stage first).
@@ -238,14 +238,9 @@ Result<QueryResult> Executor::ExecuteSelect(
   // 1. Pushed filters: shrink each relation before joining.
   for (const QueryPlan::PushedFilter& filter : plan.pushed()) {
     Relation& rel = relations[filter.binding];
-    if (options_.vectorized) {
-      if (ColumnarOn()) {
-        SOPR_RETURN_NOT_OK(FilterRelationColumnar(*filter.conjunct, &scope,
-                                                  filter.binding, &rel));
-      } else {
-        SOPR_RETURN_NOT_OK(FilterRelationVectorized(*filter.conjunct, &scope,
-                                                    filter.binding, &rel));
-      }
+    if (options_.batch) {
+      SOPR_RETURN_NOT_OK(FilterRelationColumnar(*filter.conjunct, &scope,
+                                                filter.binding, &rel));
       continue;
     }
     std::vector<Row> kept_rows;
@@ -287,7 +282,7 @@ Result<QueryResult> Executor::ExecuteSelect(
     }
     std::vector<QueryPlan::JoinEdge> edges = plan.EdgesTo(joined, next);
     std::vector<Combo> next_combos;
-    if (!edges.empty() && options_.vectorized) {
+    if (!edges.empty() && options_.batch) {
       // Build/probe hash join on `next` keyed by its edge columns. An
       // armed exec.hashjoin.build failure aborts the statement before
       // any build work; a KILL delivered while parked here is observed
@@ -299,38 +294,9 @@ Result<QueryResult> Executor::ExecuteSelect(
         key_cols.push_back(edge.right_column);
       }
       exec::JoinHashTable table;
-      bool built = false;
-      bool columnar_built = false;
-      if (ColumnarOn()) {
-        // Decompose the build side's key columns and digest them with
-        // the bulk column-major loops; any column that fails to
-        // decompose drops the whole build back to the row loop.
-        std::vector<exec::ColumnVector> key_storage(key_cols.size());
-        std::vector<const exec::ColumnVector*> key_vecs;
-        key_vecs.reserve(key_cols.size());
-        for (size_t k = 0; k < key_cols.size(); ++k) {
-          const size_t col = key_cols[k];
-          if (col >= rel.schema->num_columns() ||
-              !exec::BuildColumn(rel.rows, col,
-                                 rel.schema->columns()[col].type,
-                                 &key_storage[k])) {
-            break;
-          }
-          key_vecs.push_back(&key_storage[k]);
-        }
-        if (key_vecs.size() == key_cols.size()) {
-          SOPR_ASSIGN_OR_RETURN(
-              built, table.BuildColumnar(rel.rows, key_cols,
-                                         options_.max_hash_build_rows,
-                                         key_vecs));
-          columnar_built = true;
-        }
-      }
-      if (!columnar_built) {
-        SOPR_ASSIGN_OR_RETURN(
-            built, table.Build(rel.rows, std::move(key_cols),
-                               options_.max_hash_build_rows));
-      }
+      SOPR_ASSIGN_OR_RETURN(bool built,
+                            table.Build(rel.rows, std::move(key_cols),
+                                        options_.max_hash_build_rows));
       size_t probed = 0;
       std::vector<const Value*> probe_key(edges.size());
       std::vector<uint32_t> matches;
@@ -435,7 +401,7 @@ Result<QueryResult> Executor::ExecuteSelect(
   }
 
   // 3. Residual conjuncts over full combos.
-  if (!residual.empty() && options_.vectorized) {
+  if (!residual.empty() && options_.batch) {
     // Batch-at-a-time: each conjunct narrows the chunk's selection
     // vector, so conjunct k only sees combos whose earlier conjuncts
     // were all true — the same pairs the row path evaluates.
@@ -443,12 +409,10 @@ Result<QueryResult> Executor::ExecuteSelect(
     filtered.reserve(combos.size());
     exec::RowBatch batch(scope.num_bindings());
     // Hot columns across every residual conjunct, decomposed per chunk
-    // from the combo rows (the columnar path; empty when it is off).
+    // from the combo rows.
     std::vector<std::pair<size_t, size_t>> hot;
-    if (ColumnarOn()) {
-      for (const Expr* conjunct : residual) {
-        CollectHotColumns(*conjunct, scope, &hot);
-      }
+    for (const Expr* conjunct : residual) {
+      CollectHotColumns(*conjunct, scope, &hot);
     }
     std::vector<exec::ColumnVector> hot_storage(hot.size());
     for (size_t start = 0; start < combos.size();
@@ -484,13 +448,8 @@ Result<QueryResult> Executor::ExecuteSelect(
       for (const Expr* conjunct : residual) {
         if (sel.empty()) break;
         std::vector<TriBool> tri;
-        if (ColumnarOn()) {
-          SOPR_RETURN_NOT_OK(exec::EvaluatePredicateColumnar(
-              *conjunct, &scope, ctx, batch, colset, sel, &tri));
-        } else {
-          SOPR_RETURN_NOT_OK(exec::EvaluatePredicateBatch(
-              *conjunct, &scope, ctx, batch, sel, &tri));
-        }
+        SOPR_RETURN_NOT_OK(exec::EvaluatePredicateColumnar(
+            *conjunct, &scope, ctx, batch, colset, sel, &tri));
         exec::SelVec next_sel;
         next_sel.reserve(sel.size());
         for (size_t i = 0; i < sel.size(); ++i) {
@@ -768,43 +727,6 @@ Status Executor::ApplyOrderAndDistinct(const SelectStmt& stmt,
   return Status::OK();
 }
 
-Status Executor::FilterRelationVectorized(const Expr& conjunct, Scope* scope,
-                                          size_t binding, Relation* rel) {
-  EvalContext ctx;
-  ctx.runner = this;
-  std::vector<Row> kept_rows;
-  std::vector<TupleHandle> kept_handles;
-  exec::RowBatch batch(scope->num_bindings());
-  for (size_t start = 0; start < rel->rows.size();
-       start += exec::kBatchRows) {
-    SOPR_FAILPOINT_RETURN("exec.batch");
-    SOPR_RETURN_NOT_OK(CheckCancel("batch boundary"));
-    const size_t end = std::min(start + exec::kBatchRows, rel->rows.size());
-    batch.Clear();
-    exec::SelVec sel;
-    sel.reserve(end - start);
-    for (size_t r = start; r < end; ++r) {
-      batch.AppendAllNull();
-      batch.SetBack(binding, &rel->rows[r]);
-      sel.push_back(static_cast<uint32_t>(r - start));
-    }
-    std::vector<TriBool> tri;
-    SOPR_RETURN_NOT_OK(exec::EvaluatePredicateBatch(conjunct, scope, ctx,
-                                                    batch, sel, &tri));
-    for (size_t i = 0; i < sel.size(); ++i) {
-      if (tri[i] != TriBool::kTrue) continue;
-      kept_rows.push_back(std::move(rel->rows[start + sel[i]]));
-      kept_handles.push_back(rel->handles[start + sel[i]]);
-    }
-  }
-  rel->rows = std::move(kept_rows);
-  rel->handles = std::move(kept_handles);
-  for (size_t b = 0; b < scope->num_bindings(); ++b) {
-    scope->SetRow(b, nullptr);
-  }
-  return Status::OK();
-}
-
 void Executor::CollectHotColumns(const Expr& expr, const Scope& scope,
                                  std::vector<std::pair<size_t, size_t>>* out) {
   switch (expr.kind) {
@@ -855,7 +777,7 @@ void Executor::CollectHotColumns(const Expr& expr, const Scope& scope,
     }
     default:
       // Literals and aggregates reference no columns; subquery subtrees
-      // always take the pointer path, so their references stay cold.
+      // always run as scalar leaves, so their references stay cold.
       return;
   }
 }
@@ -910,37 +832,6 @@ Status Executor::FilterRelationColumnar(const Expr& conjunct, Scope* scope,
   rel->handles = std::move(kept_handles);
   for (size_t b = 0; b < scope->num_bindings(); ++b) {
     scope->SetRow(b, nullptr);
-  }
-  return Status::OK();
-}
-
-Status Executor::MatchSnapshotVectorized(
-    const Expr& where, Scope* scope,
-    const std::vector<std::pair<TupleHandle, Row>>& snapshot,
-    std::vector<char>* matches) {
-  EvalContext ctx;
-  ctx.runner = this;
-  matches->assign(snapshot.size(), 0);
-  exec::RowBatch batch(scope->num_bindings());
-  for (size_t start = 0; start < snapshot.size();
-       start += exec::kBatchRows) {
-    SOPR_FAILPOINT_RETURN("exec.batch");
-    SOPR_RETURN_NOT_OK(CheckCancel("batch boundary"));
-    const size_t end = std::min(start + exec::kBatchRows, snapshot.size());
-    batch.Clear();
-    exec::SelVec sel;
-    sel.reserve(end - start);
-    for (size_t r = start; r < end; ++r) {
-      batch.AppendAllNull();
-      batch.SetBack(0, &snapshot[r].second);
-      sel.push_back(static_cast<uint32_t>(r - start));
-    }
-    std::vector<TriBool> tri;
-    SOPR_RETURN_NOT_OK(
-        exec::EvaluatePredicateBatch(where, scope, ctx, batch, sel, &tri));
-    for (size_t i = 0; i < sel.size(); ++i) {
-      (*matches)[start + sel[i]] = tri[i] == TriBool::kTrue ? 1 : 0;
-    }
   }
   return Status::OK();
 }
@@ -1098,7 +989,7 @@ Result<DmlEffect> Executor::ExecuteDelete(const DeleteStmt& stmt) {
   ctx.runner = this;
 
   std::vector<size_t> hot_cols;
-  if (stmt.where != nullptr && ColumnarOn()) {
+  if (stmt.where != nullptr && options_.batch) {
     std::vector<std::pair<size_t, size_t>> hot;
     CollectHotColumns(*stmt.where, scope, &hot);
     for (const auto& [b, col] : hot) {
@@ -1116,16 +1007,11 @@ Result<DmlEffect> Executor::ExecuteDelete(const DeleteStmt& stmt) {
                                     schema, &snapshot, &hot_cols, &snap_cols,
                                     &snap_built));
 
-  if (stmt.where != nullptr && options_.vectorized) {
+  if (stmt.where != nullptr && options_.batch) {
     std::vector<char> matches;
-    if (ColumnarOn()) {
-      SOPR_RETURN_NOT_OK(MatchSnapshotColumnar(*stmt.where, &scope, snapshot,
-                                               hot_cols, snap_cols, snap_built,
-                                               &matches));
-    } else {
-      SOPR_RETURN_NOT_OK(
-          MatchSnapshotVectorized(*stmt.where, &scope, snapshot, &matches));
-    }
+    SOPR_RETURN_NOT_OK(MatchSnapshotColumnar(*stmt.where, &scope, snapshot,
+                                             hot_cols, snap_cols, snap_built,
+                                             &matches));
     for (size_t r = 0; r < snapshot.size(); ++r) {
       if (matches[r]) {
         effect.deleted.emplace_back(snapshot[r].first,
@@ -1181,7 +1067,7 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
   ctx.runner = this;
 
   std::vector<size_t> hot_cols;
-  if (stmt.where != nullptr && ColumnarOn()) {
+  if (stmt.where != nullptr && options_.batch) {
     std::vector<std::pair<size_t, size_t>> hot;
     CollectHotColumns(*stmt.where, scope, &hot);
     for (const auto& [b, col] : hot) {
@@ -1197,15 +1083,11 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
                                     &snap_built));
 
   std::vector<std::pair<TupleHandle, Row>> new_rows;
-  bool vectorized_done = false;
-  if (stmt.where != nullptr && options_.vectorized) {
+  bool batch_done = false;
+  if (stmt.where != nullptr && options_.batch) {
     std::vector<char> matches;
-    Status s = ColumnarOn()
-                   ? MatchSnapshotColumnar(*stmt.where, &scope, snapshot,
-                                           hot_cols, snap_cols, snap_built,
-                                           &matches)
-                   : MatchSnapshotVectorized(*stmt.where, &scope, snapshot,
-                                             &matches);
+    Status s = MatchSnapshotColumnar(*stmt.where, &scope, snapshot, hot_cols,
+                                     snap_cols, snap_built, &matches);
     if (s.ok()) {
       // Predicate stage clean: assignment evaluation below visits the
       // same rows in the same order as the row path, so any assignment
@@ -1229,7 +1111,7 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
         effect.updated.push_back(std::move(updated));
         new_rows.emplace_back(handle, std::move(new_row));
       }
-      vectorized_done = true;
+      batch_done = true;
     } else if (!IsEvalOrderingError(s.code())) {
       return s;
     }
@@ -1239,7 +1121,7 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
   }
   size_t scanned = 0;
   for (auto& [handle, row] : snapshot) {
-    if (vectorized_done) break;
+    if (batch_done) break;
     if (scanned++ % kCancelCheckBatch == 0) {
       SOPR_RETURN_NOT_OK(CheckCancel("update scan"));
     }

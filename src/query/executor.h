@@ -91,19 +91,14 @@ struct ExecOptions {
   /// Predicate pushdown + equijoin extraction. Off = plain
   /// cross-product-then-filter (ablation benchmark B9).
   bool optimize = true;
-  /// Batch-at-a-time predicate evaluation and the unordered build/probe
-  /// hash join (docs/EXECUTION.md). Off = the original row-at-a-time
-  /// pipeline, kept alive as the differential oracle.
-  bool vectorized = true;
-  /// Columnar chunks on top of `vectorized` (docs/EXECUTION.md "Columnar
-  /// chunks"): hot predicate/join-key columns decompose into contiguous
-  /// typed arrays at materialization time and the branch-light kernels
-  /// of exec/kernels.h evaluate them, with per-expression fallback to
-  /// the pointer path. Only effective when `vectorized` is also on; off
-  /// = the pointer-vector pipeline, the middle engine of the three-way
-  /// differential oracle.
-  bool columnar = true;
-  /// Build-side row cap for the vectorized hash join; exceeding it
+  /// Batch-at-a-time execution (docs/EXECUTION.md): hot predicate and
+  /// join-key columns decompose into contiguous typed arrays and the
+  /// branch-light kernels of exec/kernels.h evaluate them, with per-leaf
+  /// fallback to the scalar evaluator; equijoins use the unordered
+  /// build/probe hash join. Off = the row-at-a-time pipeline, kept alive
+  /// as the differential oracle.
+  bool batch = true;
+  /// Build-side row cap for the batch hash join; exceeding it
   /// falls back to a nested-loop join with a counted stat instead of
   /// growing the hash table without bound. 0 = unlimited.
   size_t max_hash_build_rows = 1u << 20;
@@ -123,8 +118,7 @@ class Executor : public SubqueryRunner {
   /// cross-product-then-filter pipeline runs (used for differential
   /// testing and the optimizer ablation benchmark).
   Executor(Database* db, TableResolver* resolver, bool optimize = true)
-      : db_(db), resolver_(resolver),
-        options_{optimize, true, true, 1u << 20} {}
+      : Executor(db, resolver, ExecOptions{.optimize = optimize}) {}
 
   Executor(Database* db, TableResolver* resolver, const ExecOptions& options)
       : db_(db), resolver_(resolver), options_(options) {}
@@ -184,41 +178,25 @@ class Executor : public SubqueryRunner {
   /// schema exactly.
   static Row CoerceRow(Row row, const TableSchema& schema);
 
-  /// Vectorized pushed-filter: batch-evaluates `conjunct` over binding
-  /// `binding` of `rel` and compacts it to the rows where it is true.
-  /// Fires the `exec.batch` failpoint and checks cancellation at every
-  /// batch boundary.
-  Status FilterRelationVectorized(const Expr& conjunct, Scope* scope,
-                                  size_t binding, Relation* rel);
-
-  /// Vectorized DML predicate scan: batch-evaluates `where` over the
-  /// snapshot rows and sets `matches[i]` for rows where it is true.
-  Status MatchSnapshotVectorized(
-      const Expr& where, Scope* scope,
-      const std::vector<std::pair<TupleHandle, Row>>& snapshot,
-      std::vector<char>* matches);
-
-  /// True when the columnar chunk path is effective: `columnar` layers
-  /// on `vectorized`, so the three engine configurations are row
-  /// (vectorized off), pointer-vector (vectorized on, columnar off) and
-  /// columnar (both on).
-  bool ColumnarOn() const { return options_.vectorized && options_.columnar; }
-
   /// Appends every (binding, column) pair `expr` references at this
   /// scope level (not descending into subqueries) to `out`, without
   /// duplicates — the hot columns worth decomposing for a batch.
   static void CollectHotColumns(const Expr& expr, const Scope& scope,
                                 std::vector<std::pair<size_t, size_t>>* out);
 
-  /// Columnar pushed-filter: FilterRelationVectorized with the
-  /// conjunct's hot columns decomposed per chunk and evaluated through
-  /// the typed kernels (exec::EvaluatePredicateColumnar).
+  /// Batch pushed-filter: evaluates `conjunct` over binding `binding` of
+  /// `rel` chunk by chunk, with the conjunct's hot columns decomposed per
+  /// chunk (exec::EvaluatePredicateColumnar), and compacts `rel` to the
+  /// rows where it is true. Fires the `exec.batch` failpoint and checks
+  /// cancellation at every chunk boundary.
   Status FilterRelationColumnar(const Expr& conjunct, Scope* scope,
                                 size_t binding, Relation* rel);
 
-  /// Columnar DML predicate scan: MatchSnapshotVectorized over
-  /// whole-snapshot columns (`cols`/`built` from SnapshotForDml, parallel
-  /// to `hot_cols`), windowed per chunk.
+  /// Batch DML predicate scan: evaluates `where` over the snapshot rows
+  /// chunk by chunk and sets `matches[i]` for rows where it is true. The
+  /// hot columns come decomposed over the whole snapshot (`cols`/`built`
+  /// from SnapshotForDml, parallel to `hot_cols`) and are windowed per
+  /// chunk.
   Status MatchSnapshotColumnar(
       const Expr& where, Scope* scope,
       const std::vector<std::pair<TupleHandle, Row>>& snapshot,

@@ -51,24 +51,15 @@ struct RuleEngineOptions {
   /// statement executed through the rule system. Off = plain
   /// cross-product-then-filter (ablation benchmark B9).
   bool optimize_queries = true;
-  /// Vectorized set-oriented execution (docs/EXECUTION.md): rule
-  /// conditions, query filters, DML predicate scans, and transition ⋈
-  /// base joins evaluate batch-at-a-time over columnar RowBatches with
-  /// an unordered build/probe hash join. Off = the original
-  /// row-at-a-time pipeline, kept alive as the differential oracle
+  /// Batch set-oriented execution (docs/EXECUTION.md): rule conditions,
+  /// query filters, DML predicate scans, and transition ⋈ base joins
+  /// evaluate chunk-at-a-time, with hot columns decomposed into typed
+  /// arrays for the kernels of exec/kernels.h and an unordered
+  /// build/probe hash join. Off = the row-at-a-time pipeline, kept alive
+  /// as the differential oracle
   /// (tests/rules/vectorized_differential_test.cc).
-  bool vectorized_execution = true;
-  /// Columnar chunk execution layered on vectorized_execution
-  /// (docs/EXECUTION.md "Columnar chunks"): hot predicate and join-key
-  /// columns decompose into contiguous typed arrays at materialization
-  /// time and branch-light kernels evaluate them, falling back
-  /// per-expression to the pointer path. Independent of
-  /// vectorized_execution so all three engines stay constructible: row
-  /// (vectorized off), pointer-vector (vectorized on, columnar off),
-  /// columnar (both on — the default). No effect when
-  /// vectorized_execution is off.
-  bool columnar_execution = true;
-  /// Build-side row cap for the vectorized hash join (0 = unlimited): a
+  bool batch_execution = true;
+  /// Build-side row cap for the batch hash join (0 = unlimited): a
   /// join whose build side exceeds it falls back to a nested-loop probe
   /// with a counted stat (exec::GlobalStats().hash_join_fallbacks)
   /// instead of growing the hash table without bound.
@@ -117,8 +108,8 @@ struct RuleEngineOptions {
 /// Executor knobs derived from rule-engine options — the single place
 /// the mapping lives, so every Executor construction site agrees.
 inline ExecOptions ExecOptionsFrom(const RuleEngineOptions& o) {
-  return ExecOptions{o.optimize_queries, o.vectorized_execution,
-                     o.columnar_execution, o.max_hash_build_rows};
+  return ExecOptions{o.optimize_queries, o.batch_execution,
+                     o.max_hash_build_rows};
 }
 
 /// Footnote 8 of the paper: which point a rule's composite transition is

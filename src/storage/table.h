@@ -90,10 +90,10 @@ class Table {
   /// CopyRows plus columnar materialization under the SAME shared-latch
   /// acquisition: after copying, decomposes each column index of
   /// `hot_cols` over the copied rows into `cols` (parallel to
-  /// `hot_cols`; docs/EXECUTION.md "Columnar chunks"). An entry that
-  /// cannot decompose (type mismatch) is left with a false flag in
-  /// `built` and the executor's pointer path covers that column. `out`
-  /// must start empty and MUST NOT be mutated afterwards — string
+  /// `hot_cols`; docs/EXECUTION.md "Where chunks are formed"). An entry
+  /// that cannot decompose (type mismatch) is left with a false flag in
+  /// `built` and the scalar evaluator covers that column. `out` must
+  /// start empty and MUST NOT be mutated afterwards — string
   /// column entries borrow from the copied rows.
   void CopyRowsColumnar(std::vector<std::pair<TupleHandle, Row>>* out,
                         const std::vector<size_t>& hot_cols,

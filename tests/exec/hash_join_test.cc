@@ -1,11 +1,9 @@
-// Unit tests for JoinHashTable key-digest normalization and for the
-// Build/BuildColumnar equivalence contract (docs/EXECUTION.md): rows
-// with a NULL key column are never inserted and a NULL probe key
-// matches nothing; numeric keys are normalized through double so int 2
-// and double 2.0 share a bucket and -0.0 collapses with +0.0; and the
-// columnar bulk-digest build emits bucket contents bit-identical to the
-// row-at-a-time build, including ascending build-row order within each
-// bucket.
+// Unit tests for JoinHashTable key-digest normalization
+// (docs/EXECUTION.md): rows with a NULL key column are never inserted and
+// a NULL probe key matches nothing; numeric keys are normalized through
+// double so int 2 and double 2.0 share a bucket and -0.0 collapses with
+// +0.0; composite keys mix per-column digests in column order; and bucket
+// contents come back in ascending build-row order.
 
 #include "exec/hash_join.h"
 
@@ -16,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/column_vector.h"
 #include "exec/stats.h"
 #include "types/row.h"
 #include "types/value.h"
@@ -34,27 +31,12 @@ std::vector<uint32_t> ProbeOne(const JoinHashTable& table,
   return out;
 }
 
-/// Builds the same table twice — row path and columnar path — asserting
-/// both succeed, then returns them for side-by-side probing.
-void BuildBothWays(const std::vector<Row>& rows,
-                   const std::vector<size_t>& key_cols,
-                   const std::vector<ValueType>& key_types,
-                   JoinHashTable* row_table, JoinHashTable* col_table,
-                   std::vector<ColumnVector>* storage) {
-  auto row_built = row_table->Build(rows, key_cols, 0);
-  ASSERT_TRUE(row_built.ok());
-  ASSERT_TRUE(row_built.value());
-
-  storage->resize(key_cols.size());
-  std::vector<const ColumnVector*> vecs;
-  for (size_t k = 0; k < key_cols.size(); ++k) {
-    ASSERT_TRUE(BuildColumn(rows, key_cols[k], key_types[k], &(*storage)[k]))
-        << "key column " << key_cols[k] << " must decompose";
-    vecs.push_back(&(*storage)[k]);
-  }
-  auto col_built = col_table->BuildColumnar(rows, key_cols, 0, vecs);
-  ASSERT_TRUE(col_built.ok());
-  ASSERT_TRUE(col_built.value());
+/// Builds `table` over `rows` with no row cap, asserting success.
+void BuildOk(const std::vector<Row>& rows,
+             const std::vector<size_t>& key_cols, JoinHashTable* table) {
+  auto built = table->Build(rows, key_cols, 0);
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(built.value());
 }
 
 TEST(HashJoinKeyValueTest, NumericNormalization) {
@@ -90,86 +72,70 @@ TEST(JoinHashTableTest, NullKeysNeverInsertedOrMatched) {
   EXPECT_TRUE(ProbeOne(table, {Value::Null()}).empty());
 }
 
-TEST(JoinHashTableTest, NullKeysSkippedIdenticallyInColumnarBuild) {
+TEST(JoinHashTableTest, NullKeysSkippedAmongDuplicates) {
   std::vector<Row> rows = {
       Row({Value::Null(), Value::Int(0)}),
       Row({Value::Int(7), Value::Int(1)}),
       Row({Value::Null(), Value::Int(2)}),
       Row({Value::Int(7), Value::Int(3)}),
   };
-  JoinHashTable row_table, col_table;
-  std::vector<ColumnVector> storage;
-  BuildBothWays(rows, {0}, {ValueType::kInt}, &row_table, &col_table,
-                &storage);
-  const std::vector<std::vector<Value>> keys = {{Value::Int(7)},
-                                                {Value::Double(7.0)},
-                                                {Value::Null()},
-                                                {Value::Int(8)}};
-  for (const auto& key : keys) {
-    EXPECT_EQ(ProbeOne(row_table, key), ProbeOne(col_table, key));
-  }
-  EXPECT_EQ(ProbeOne(col_table, {Value::Int(7)}),
+  JoinHashTable table;
+  BuildOk(rows, {0}, &table);
+  EXPECT_EQ(ProbeOne(table, {Value::Int(7)}), (std::vector<uint32_t>{1, 3}));
+  EXPECT_EQ(ProbeOne(table, {Value::Double(7.0)}),
             (std::vector<uint32_t>{1, 3}));
-  EXPECT_TRUE(ProbeOne(col_table, {Value::Null()}).empty());
+  EXPECT_TRUE(ProbeOne(table, {Value::Null()}).empty());
+  EXPECT_TRUE(ProbeOne(table, {Value::Int(8)}).empty());
 }
 
-TEST(JoinHashTableTest, NegativeZeroCollapsesAcrossBuildPaths) {
-  // Keys -0.0, +0.0, and int 0 all SqlEquals; both build paths must
-  // put all of them in one bucket, emitted in ascending build-row
-  // order, and a probe by any spelling of zero finds all of them.
+TEST(JoinHashTableTest, NegativeZeroCollapses) {
+  // Keys -0.0, +0.0, and int 0 all SqlEquals; the build must put all of
+  // them in one bucket, emitted in ascending build-row order, and a
+  // probe by any spelling of zero finds all of them.
   std::vector<Row> rows = {
       Row({Value::Double(-0.0)}),
       Row({Value::Double(0.0)}),
       Row({Value::Double(1.5)}),
       Row({Value::Double(-0.0)}),
   };
-  JoinHashTable row_table, col_table;
-  std::vector<ColumnVector> storage;
-  BuildBothWays(rows, {0}, {ValueType::kDouble}, &row_table, &col_table,
-                &storage);
+  JoinHashTable table;
+  BuildOk(rows, {0}, &table);
   const std::vector<uint32_t> zeros{0, 1, 3};
   const std::vector<std::vector<Value>> keys = {
       {Value::Double(-0.0)}, {Value::Double(0.0)}, {Value::Int(0)}};
   for (const auto& key : keys) {
-    EXPECT_EQ(ProbeOne(row_table, key), zeros);
-    EXPECT_EQ(ProbeOne(col_table, key), zeros);
+    EXPECT_EQ(ProbeOne(table, key), zeros);
   }
 }
 
-TEST(JoinHashTableTest, IntDoubleKeysShareBucketsAcrossBuildPaths) {
+TEST(JoinHashTableTest, IntDoubleKeysShareBuckets) {
   // An int build column probed by double keys (and vice versa): the
-  // digest normalization through double bits must line up on both
-  // build paths, including values above 2^53 where (double) conversion
-  // is lossy — lossy identically, so SqlEquals-equal keys still meet.
+  // digest normalization through double bits must line up, including
+  // values above 2^53 where (double) conversion is lossy — lossy
+  // identically on both sides, so SqlEquals-equal keys still meet.
   constexpr int64_t kBig = (int64_t{1} << 53) + 1;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   std::vector<Row> rows = {
       Row({Value::Int(2)}),
       Row({Value::Int(-3)}),
       Row({Value::Int(kBig)}),
-      Row({Value::Int(std::numeric_limits<int64_t>::min())}),
+      Row({Value::Int(kMin)}),
   };
-  JoinHashTable row_table, col_table;
-  std::vector<ColumnVector> storage;
-  BuildBothWays(rows, {0}, {ValueType::kInt}, &row_table, &col_table,
-                &storage);
-  const std::vector<std::vector<Value>> keys = {
-      {Value::Double(2.0)},
-      {Value::Int(2)},
-      {Value::Double(-3.0)},
-      {Value::Int(kBig)},
-      {Value::Int(std::numeric_limits<int64_t>::min())}};
-  for (const auto& key : keys) {
-    EXPECT_EQ(ProbeOne(row_table, key), ProbeOne(col_table, key));
-  }
-  EXPECT_EQ(ProbeOne(col_table, {Value::Double(2.0)}),
+  JoinHashTable table;
+  BuildOk(rows, {0}, &table);
+  EXPECT_EQ(ProbeOne(table, {Value::Double(2.0)}),
             (std::vector<uint32_t>{0}));
+  EXPECT_EQ(ProbeOne(table, {Value::Int(2)}), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(ProbeOne(table, {Value::Double(-3.0)}),
+            (std::vector<uint32_t>{1}));
+  EXPECT_EQ(ProbeOne(table, {Value::Int(kBig)}), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(ProbeOne(table, {Value::Int(kMin)}), (std::vector<uint32_t>{3}));
 }
 
-TEST(JoinHashTableTest, MultiColumnKeysMatchAcrossBuildPaths) {
+TEST(JoinHashTableTest, MultiColumnKeys) {
   // Composite (int, string) keys: per-column digests are mixed in
   // column order, NULL in ANY key column drops the row, and bucket
-  // order stays ascending even though the columnar build accumulates
-  // digests column-major rather than row-major.
+  // order stays ascending.
   static const std::string kLong(300, 'q');
   std::vector<Row> rows = {
       Row({Value::Int(1), Value::String("a")}),
@@ -180,49 +146,39 @@ TEST(JoinHashTableTest, MultiColumnKeysMatchAcrossBuildPaths) {
       Row({Value::Int(2), Value::String(kLong)}),
       Row({Value::Int(1), Value::String("")}),
   };
-  JoinHashTable row_table, col_table;
-  std::vector<ColumnVector> storage;
-  BuildBothWays(rows, {0, 1}, {ValueType::kInt, ValueType::kString},
-                &row_table, &col_table, &storage);
-  const std::vector<std::vector<Value>> keys = {
-      {Value::Int(1), Value::String("a")},
-      {Value::Int(1), Value::String("b")},
-      {Value::Int(1), Value::String("")},
-      {Value::Int(2), Value::String(kLong)},
-      {Value::Double(1.0), Value::String("a")},
-      {Value::Int(1), Value::Null()},
-      {Value::Null(), Value::String("a")}};
-  for (const auto& key : keys) {
-    EXPECT_EQ(ProbeOne(row_table, key), ProbeOne(col_table, key));
-  }
-  EXPECT_EQ(ProbeOne(col_table, {Value::Int(1), Value::String("a")}),
+  JoinHashTable table;
+  BuildOk(rows, {0, 1}, &table);
+  EXPECT_EQ(ProbeOne(table, {Value::Int(1), Value::String("a")}),
             (std::vector<uint32_t>{0, 4}));
-  EXPECT_TRUE(ProbeOne(col_table, {Value::Int(1), Value::Null()}).empty());
+  EXPECT_EQ(ProbeOne(table, {Value::Double(1.0), Value::String("a")}),
+            (std::vector<uint32_t>{0, 4}));
+  EXPECT_EQ(ProbeOne(table, {Value::Int(1), Value::String("b")}),
+            (std::vector<uint32_t>{1}));
+  EXPECT_EQ(ProbeOne(table, {Value::Int(1), Value::String("")}),
+            (std::vector<uint32_t>{6}));
+  EXPECT_EQ(ProbeOne(table, {Value::Int(2), Value::String(kLong)}),
+            (std::vector<uint32_t>{5}));
+  EXPECT_TRUE(ProbeOne(table, {Value::Int(1), Value::Null()}).empty());
+  EXPECT_TRUE(ProbeOne(table, {Value::Null(), Value::String("a")}).empty());
 }
 
-TEST(JoinHashTableTest, ColumnarBuildHonorsMaxBuildRows) {
+TEST(JoinHashTableTest, BuildHonorsMaxBuildRows) {
   std::vector<Row> rows;
   for (int i = 0; i < 10; ++i) rows.push_back(Row({Value::Int(i)}));
-  std::vector<ColumnVector> storage(1);
-  ASSERT_TRUE(BuildColumn(rows, 0, ValueType::kInt, &storage[0]));
+  const uint64_t fallbacks = GlobalStats().hash_join_fallbacks.load();
   JoinHashTable table;
-  auto built = table.BuildColumnar(rows, {0}, 4, {&storage[0]});
+  auto built = table.Build(rows, {0}, 4);
   ASSERT_TRUE(built.ok());
   EXPECT_FALSE(built.value()) << "cap of 4 must reject a 10-row build";
+  EXPECT_GT(GlobalStats().hash_join_fallbacks.load(), fallbacks);
 }
 
-TEST(JoinHashTableTest, ColumnarBuildBumpsEngagementCounters) {
+TEST(JoinHashTableTest, BuildBumpsEngagementCounter) {
   std::vector<Row> rows = {Row({Value::Int(1)}), Row({Value::Int(2)})};
-  std::vector<ColumnVector> storage(1);
-  ASSERT_TRUE(BuildColumn(rows, 0, ValueType::kInt, &storage[0]));
   const uint64_t builds = GlobalStats().hash_join_builds.load();
-  const uint64_t columnar = GlobalStats().hash_join_columnar_builds.load();
   JoinHashTable table;
-  auto built = table.BuildColumnar(rows, {0}, 0, {&storage[0]});
-  ASSERT_TRUE(built.ok());
-  ASSERT_TRUE(built.value());
+  BuildOk(rows, {0}, &table);
   EXPECT_GT(GlobalStats().hash_join_builds.load(), builds);
-  EXPECT_GT(GlobalStats().hash_join_columnar_builds.load(), columnar);
 }
 
 }  // namespace

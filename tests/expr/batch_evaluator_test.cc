@@ -1,11 +1,13 @@
-// Differential property suite for the batch predicate evaluator
-// (src/exec/batch_evaluator.h): generated expression trees over
-// adversarial columns, evaluated batch-at-a-time and row-at-a-time, must
+// Differential property suite for the batch predicate evaluator's
+// scalar-leaf fallback (src/exec/batch_evaluator.h): generated expression
+// trees over adversarial columns, evaluated batch-at-a-time with NO
+// decomposed columns (an empty ColumnSet, so every column-reading leaf is
+// evaluated per row by the scalar evaluator) and row-at-a-time, must
 // agree bit-exactly — same TriBool per selected position when both
 // succeed, and the SAME error (code and message) when the row-order
-// scalar run fails. This is the expression-level half of the
-// differential-oracle contract in docs/EXECUTION.md; the engine-level
-// half is tests/rules/vectorized_differential_test.cc.
+// scalar run fails. The kernel side of the same contract is
+// tests/expr/kernel_property_test.cc; the engine-level side is
+// tests/rules/vectorized_differential_test.cc (docs/EXECUTION.md).
 //
 // Adversarial inputs: NULLs in every column, INT64 boundaries, -0.0 vs
 // +0.0, empty strings, division by zero, type-mismatched comparisons,
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "exec/row_batch.h"
+#include "exec/stats.h"
 #include "expr/evaluator.h"
 #include "sql/parser.h"
 #include "test_util.h"
@@ -31,6 +34,7 @@
 namespace sopr {
 namespace {
 
+using exec::ColumnSet;
 using exec::RowBatch;
 using exec::SelVec;
 
@@ -136,8 +140,8 @@ class BatchDifferential : public ::testing::TestWithParam<uint32_t> {
 
     EvalContext ctx;  // no subquery runner: subqueries would error alike
     std::vector<TriBool> got;
-    Status batch_status =
-        exec::EvaluatePredicateBatch(expr, &scope_, ctx, batch, sel, &got);
+    Status batch_status = exec::EvaluatePredicateColumnar(
+        expr, &scope_, ctx, batch, ColumnSet(), sel, &got);
 
     // Row-order scalar reference. `want[i]` pairs with `sel[i]`, the
     // same layout the batch evaluator uses for its output.
@@ -179,6 +183,8 @@ TEST_P(BatchDifferential, RandomTreesOverAdversarialColumns) {
   std::vector<Row> rows;
   const size_t n = 1 + rng() % 200;
   for (size_t i = 0; i < n; ++i) rows.push_back(RandomRow(rng));
+  const uint64_t fallbacks =
+      exec::GlobalStats().pointer_fallback_preds.load();
 
   for (int t = 0; t < 40; ++t) {
     const std::string sql = GenPred(rng, 3);
@@ -202,6 +208,8 @@ TEST_P(BatchDifferential, RandomTreesOverAdversarialColumns) {
              SelVec{static_cast<uint32_t>(rng() % rows.size())}, sql);
     CheckOne(*expr.value(), rows, SelVec{}, sql);
   }
+  // The trees really went through the scalar-leaf fallback.
+  EXPECT_GT(exec::GlobalStats().pointer_fallback_preds.load(), fallbacks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferential,
@@ -274,8 +282,9 @@ TEST_F(BatchFixed, EmptyBatch) {
   auto expr = Parser::ParseExpression("i > 0");
   ASSERT_OK(expr.status());
   std::vector<TriBool> out;
-  ASSERT_OK(exec::EvaluatePredicateBatch(*expr.value(), &scope_, ctx, batch,
-                                         SelVec{}, &out));
+  ASSERT_OK(exec::EvaluatePredicateColumnar(*expr.value(), &scope_, ctx,
+                                            batch, ColumnSet(), SelVec{},
+                                            &out));
   EXPECT_TRUE(out.empty());
 }
 

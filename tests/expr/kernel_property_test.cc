@@ -1,13 +1,13 @@
 // Differential property suite for the columnar predicate kernels
 // (src/exec/kernels.h via exec::EvaluatePredicateColumnar): generated
 // expression trees over adversarial decomposed columns must be
-// indistinguishable from BOTH the row-at-a-time scalar evaluator and the
-// pointer-vector batch evaluator — same TriBool per selected position
-// when all succeed, and the SAME error (code and message, taken from the
-// authoritative row-order scalar re-run) when the scalar run fails. This
-// is the kernel-level third of the differential-oracle contract in
-// docs/EXECUTION.md; the engine-level part is
-// tests/rules/vectorized_differential_test.cc.
+// indistinguishable from the row-at-a-time scalar evaluator — same
+// TriBool per selected position when both succeed, and the SAME error
+// (code and message, taken from the authoritative row-order scalar
+// re-run) when the scalar run fails. This is the kernel-level part of
+// the differential-oracle contract in docs/EXECUTION.md; the scalar-leaf
+// fallback is covered by tests/expr/batch_evaluator_test.cc and the
+// engine-level part by tests/rules/vectorized_differential_test.cc.
 //
 // Adversarial inputs: NULL-heavy columns, INT64 min/max (overflow
 // promotion), -0.0 vs +0.0, NaN, empty and long strings, division by
@@ -133,7 +133,7 @@ std::string GenPred(std::mt19937& rng, int depth) {
   }
 }
 
-// --- The three-way differential oracle ------------------------------------
+// --- The columnar-vs-scalar differential oracle ---------------------------
 
 class KernelDifferential : public ::testing::TestWithParam<uint32_t> {
  protected:
@@ -145,11 +145,10 @@ class KernelDifferential : public ::testing::TestWithParam<uint32_t> {
     EXPECT_TRUE(scope_.AddBinding("t", &schema_).ok());
   }
 
-  /// Runs `expr` three ways over `rows` restricted to `sel`: columnar
-  /// (all four columns decomposed), pointer-vector, and the row-order
-  /// scalar reference. Asserts the columnar result is indistinguishable
-  /// from the scalar run (first scalar error or elementwise TriBools)
-  /// and that the two batch paths agree with each other.
+  /// Runs `expr` two ways over `rows` restricted to `sel`: columnar (all
+  /// four columns decomposed) and the row-order scalar reference.
+  /// Asserts the columnar result is indistinguishable from the scalar
+  /// run (first scalar error or elementwise TriBools).
   void CheckOne(const Expr& expr, const std::vector<Row>& rows,
                 const SelVec& sel, const std::string& sql) {
     RowBatch batch(1);
@@ -170,9 +169,6 @@ class KernelDifferential : public ::testing::TestWithParam<uint32_t> {
     std::vector<TriBool> got;
     Status columnar_status = exec::EvaluatePredicateColumnar(
         expr, &scope_, ctx, batch, cols, sel, &got);
-    std::vector<TriBool> ptr_got;
-    Status ptr_status = exec::EvaluatePredicateBatch(expr, &scope_, ctx,
-                                                     batch, sel, &ptr_got);
 
     // Row-order scalar reference. `want[i]` pairs with `sel[i]`.
     Status scalar_status = Status::OK();
@@ -194,21 +190,13 @@ class KernelDifferential : public ::testing::TestWithParam<uint32_t> {
           << ") but columnar succeeded";
       EXPECT_EQ(columnar_status.code(), scalar_status.code()) << sql;
       EXPECT_EQ(columnar_status.message(), scalar_status.message()) << sql;
-      ASSERT_FALSE(ptr_status.ok()) << sql;
-      EXPECT_EQ(columnar_status.code(), ptr_status.code()) << sql;
-      EXPECT_EQ(columnar_status.message(), ptr_status.message()) << sql;
       return;
     }
     ASSERT_TRUE(columnar_status.ok()) << sql << " -> " << columnar_status;
-    ASSERT_TRUE(ptr_status.ok()) << sql << " -> " << ptr_status;
     ASSERT_EQ(got.size(), want.size()) << sql;
-    ASSERT_EQ(ptr_got.size(), want.size()) << sql;
     for (size_t i = 0; i < sel.size(); ++i) {
       EXPECT_EQ(got[i], want[i])
           << sql << " columnar diverges from scalar at selected position "
-          << sel[i];
-      EXPECT_EQ(got[i], ptr_got[i])
-          << sql << " columnar diverges from pointer-vector at position "
           << sel[i];
     }
   }
@@ -256,7 +244,7 @@ class KernelFixed : public KernelDifferential {};
 
 TEST_F(KernelFixed, KernelsActuallyEngage) {
   // Guard against the suite silently passing because every expression
-  // fell back to the pointer path: a plainly kernel-eligible predicate
+  // fell back to the scalar leaf path: a plainly kernel-eligible predicate
   // must bump the engagement counters.
   std::vector<Row> rows = {
       Row({Value::Int(1), Value::Double(2.0), Value::String("a"),
@@ -421,9 +409,9 @@ TEST_F(KernelFixed, EmptyColumnsAndEmptySelection) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST_F(KernelFixed, MissingColumnsFallBackPointered) {
+TEST_F(KernelFixed, MissingColumnsFallBackToScalarLeaves) {
   // An empty ColumnSet must still produce scalar-identical results (the
-  // per-expression pointer fallback), counted in pointer_fallback_preds.
+  // per-leaf scalar fallback), counted in pointer_fallback_preds.
   std::vector<Row> rows = {Row({Value::Int(5), Value::Double(1.5),
                                 Value::String("a"), Value::Bool(true)})};
   RowBatch batch(1);

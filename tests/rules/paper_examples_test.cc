@@ -2,9 +2,9 @@
 // §4.5). Each test encodes the exact schema, rules, operation blocks, and
 // expected outcome the paper describes in prose; see EXPERIMENTS.md.
 //
-// Every example runs under all three execution engines (row,
-// pointer-vector, columnar — docs/EXECUTION.md), so the paper semantics
-// are pinned independently of execution strategy.
+// Every example runs under both execution engines (row and batch —
+// docs/EXECUTION.md), so the paper semantics are pinned independently of
+// execution strategy.
 
 #include <gtest/gtest.h>
 
@@ -14,17 +14,15 @@
 namespace sopr {
 namespace {
 
-/// The three execution engines of the differential oracle.
-enum class EngineMode { kRow, kPointerVector, kColumnar };
+/// The two execution engines of the differential oracle.
+enum class EngineMode { kRow, kBatch };
 
 const char* ModeName(EngineMode mode) {
   switch (mode) {
     case EngineMode::kRow:
       return "Row";
-    case EngineMode::kPointerVector:
-      return "PointerVector";
-    case EngineMode::kColumnar:
-      return "Columnar";
+    case EngineMode::kBatch:
+      return "Batch";
   }
   return "Unknown";
 }
@@ -33,16 +31,7 @@ class PaperExampleTest : public ::testing::TestWithParam<EngineMode> {
  protected:
   RuleEngineOptions Options() const {
     RuleEngineOptions o;
-    switch (GetParam()) {
-      case EngineMode::kRow:
-        o.vectorized_execution = false;
-        break;
-      case EngineMode::kPointerVector:
-        o.columnar_execution = false;
-        break;
-      case EngineMode::kColumnar:
-        break;  // both on by default
-    }
+    o.batch_execution = GetParam() == EngineMode::kBatch;
     return o;
   }
 };
@@ -51,12 +40,10 @@ std::string EngineName(const ::testing::TestParamInfo<EngineMode>& info) {
   return ModeName(info.param);
 }
 
-#define INSTANTIATE_PAPER_EXAMPLE(fixture)                              \
-  INSTANTIATE_TEST_SUITE_P(Engines, fixture,                            \
-                           ::testing::Values(EngineMode::kRow,          \
-                                             EngineMode::kPointerVector, \
-                                             EngineMode::kColumnar),    \
-                           EngineName)
+#define INSTANTIATE_PAPER_EXAMPLE(fixture)                               \
+  INSTANTIATE_TEST_SUITE_P(                                              \
+      Engines, fixture,                                                  \
+      ::testing::Values(EngineMode::kRow, EngineMode::kBatch), EngineName)
 
 // --- Example 3.1: cascaded delete for referential integrity -------------
 // "Whenever departments are deleted, delete all employees in the deleted

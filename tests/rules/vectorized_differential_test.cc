@@ -1,13 +1,12 @@
-// Engine-level three-way differential oracle (docs/EXECUTION.md): every
-// execution strategy in src/exec/ must be observationally
-// indistinguishable from the row-at-a-time path it replaces. Four
-// engines differing ONLY in execution strategy — row
-// (vectorized_execution = false), pointer-vector (vectorized on,
-// columnar_execution = false), columnar (both on, typed kernels +
-// column-major hash-join digests), and columnar with the build-side
-// budget forced to zero (nested-loop fallback) — run identical seeded
-// random workloads over a rule set with cascades, aggregate conditions,
-// NULL-heavy predicates, a transition ⋈ base join, and priorities.
+// Engine-level row-vs-batch differential oracle (docs/EXECUTION.md): the
+// batch engine in src/exec/ must be observationally indistinguishable
+// from the row-at-a-time path it replaces. Three engines differing ONLY
+// in execution strategy — row (batch_execution = false), batch (the
+// default: typed kernels, scalar-leaf fallback, build/probe hash join),
+// and batch with the build-side budget forced down to one row
+// (nested-loop fallback) — run identical seeded random workloads over a
+// rule set with cascades, aggregate conditions, NULL-heavy predicates, a
+// transition ⋈ base join, and priorities.
 // After every block: identical status codes, identical firing traces
 // (considered rules, condition outcomes, fired rules, detached flags,
 // rollbacks, retrieved result sets), and bit-identical
@@ -24,7 +23,7 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "exec/row_batch.h"
+#include "exec/stats.h"
 #include "query/result_set.h"
 #include "test_util.h"
 
@@ -32,7 +31,7 @@ namespace sopr {
 namespace {
 
 /// Cascades + aggregate condition + NULL-heavy predicate + transition ⋈
-/// base join + priorities: every execution feature the vectorized layer
+/// base join + priorities: every execution feature the batch layer
 /// touches, in one rule set.
 void DefineRuleSet(Engine* engine) {
   ASSERT_OK(engine->Execute("create table t (a int, b int)"));
@@ -140,31 +139,22 @@ std::string Dump(Engine* engine, const std::string& table,
 
 class VectorizedDifferential : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(VectorizedDifferential, RowVectorAndColumnarPathsAreBitIdentical) {
-  RuleEngineOptions scalar_opts;
-  scalar_opts.vectorized_execution = false;
-  RuleEngineOptions vector_opts;  // the PR 9 pointer-vector engine
-  vector_opts.vectorized_execution = true;
-  vector_opts.columnar_execution = false;
-  RuleEngineOptions columnar_opts;
-  columnar_opts.vectorized_execution = true;
-  columnar_opts.columnar_execution = true;
-  RuleEngineOptions capped_opts = columnar_opts;
+TEST_P(VectorizedDifferential, RowAndBatchPathsAreBitIdentical) {
+  RuleEngineOptions row_opts;
+  row_opts.batch_execution = false;
+  RuleEngineOptions batch_opts;  // batch_execution on by default
+  RuleEngineOptions capped_opts = batch_opts;
   capped_opts.max_hash_build_rows = 1;  // multi-row builds all fall back
 
-  Engine scalar(scalar_opts);
-  Engine vector(vector_opts);
-  Engine columnar(columnar_opts);
+  Engine row(row_opts);
+  Engine batch(batch_opts);
   Engine capped(capped_opts);
-  DefineRuleSet(&scalar);
-  DefineRuleSet(&vector);
-  DefineRuleSet(&columnar);
+  DefineRuleSet(&row);
+  DefineRuleSet(&batch);
   DefineRuleSet(&capped);
 
   const uint64_t builds_before =
       exec::GlobalStats().hash_join_builds.load();
-  const uint64_t columnar_builds_before =
-      exec::GlobalStats().hash_join_columnar_builds.load();
   const uint64_t fallbacks_before =
       exec::GlobalStats().hash_join_fallbacks.load();
   const uint64_t chunks_before =
@@ -174,64 +164,46 @@ TEST_P(VectorizedDifferential, RowVectorAndColumnarPathsAreBitIdentical) {
   for (int step = 0; step < 30; ++step) {
     std::string block = RandomBlock(&rng, step);
 
-    auto ts = scalar.ExecuteBlock(block);
-    auto tv = vector.ExecuteBlock(block);
-    auto tl = columnar.ExecuteBlock(block);
+    auto tr = row.ExecuteBlock(block);
+    auto tb = batch.ExecuteBlock(block);
     auto tc = capped.ExecuteBlock(block);
 
-    ASSERT_EQ(ts.ok(), tv.ok()) << "step " << step << ": " << block;
-    ASSERT_EQ(ts.ok(), tl.ok()) << "step " << step << ": " << block;
-    ASSERT_EQ(ts.ok(), tc.ok()) << "step " << step << ": " << block;
-    if (!ts.ok()) {
-      EXPECT_EQ(ts.status().code(), tv.status().code())
+    ASSERT_EQ(tr.ok(), tb.ok()) << "step " << step << ": " << block;
+    ASSERT_EQ(tr.ok(), tc.ok()) << "step " << step << ": " << block;
+    if (!tr.ok()) {
+      EXPECT_EQ(tr.status().code(), tb.status().code())
           << "step " << step << ": " << block;
-      EXPECT_EQ(ts.status().message(), tv.status().message())
+      EXPECT_EQ(tr.status().message(), tb.status().message())
           << "step " << step << ": " << block;
-      EXPECT_EQ(ts.status().code(), tl.status().code())
-          << "step " << step << ": " << block;
-      EXPECT_EQ(ts.status().message(), tl.status().message())
-          << "step " << step << ": " << block;
-      EXPECT_EQ(ts.status().code(), tc.status().code())
+      EXPECT_EQ(tr.status().code(), tc.status().code())
           << "step " << step << ": " << block;
     } else {
-      EXPECT_EQ(TraceSig(ts.value()), TraceSig(tv.value()))
+      EXPECT_EQ(TraceSig(tr.value()), TraceSig(tb.value()))
           << "step " << step << ": " << block;
-      EXPECT_EQ(TraceSig(ts.value()), TraceSig(tl.value()))
-          << "step " << step << ": " << block;
-      EXPECT_EQ(TraceSig(ts.value()), TraceSig(tc.value()))
+      EXPECT_EQ(TraceSig(tr.value()), TraceSig(tc.value()))
           << "step " << step << ": " << block;
     }
 
     // Bit-exact state after EVERY block, not just at the end: handles,
     // values, undo state — everything Checksum folds in.
-    ASSERT_EQ(scalar.db().Checksum(), vector.db().Checksum())
+    ASSERT_EQ(row.db().Checksum(), batch.db().Checksum())
         << "step " << step << ": " << block;
-    ASSERT_EQ(scalar.db().Checksum(), columnar.db().Checksum())
+    ASSERT_EQ(row.db().Checksum(), capped.db().Checksum())
         << "step " << step << ": " << block;
-    ASSERT_EQ(scalar.db().Checksum(), capped.db().Checksum())
-        << "step " << step << ": " << block;
-    ASSERT_EQ(scalar.StateChecksum(), vector.StateChecksum())
-        << "step " << step << ": " << block;
-    ASSERT_EQ(scalar.StateChecksum(), columnar.StateChecksum())
+    ASSERT_EQ(row.StateChecksum(), batch.StateChecksum())
         << "step " << step << ": " << block;
   }
 
-  EXPECT_EQ(Dump(&scalar, "t", "a, b"), Dump(&vector, "t", "a, b"));
-  EXPECT_EQ(Dump(&scalar, "u", "a, c"), Dump(&vector, "u", "a, c"));
-  EXPECT_EQ(Dump(&scalar, "log", "a"), Dump(&vector, "log", "a"));
-  EXPECT_EQ(Dump(&scalar, "t", "a, b"), Dump(&columnar, "t", "a, b"));
-  EXPECT_EQ(Dump(&scalar, "u", "a, c"), Dump(&columnar, "u", "a, c"));
-  EXPECT_EQ(Dump(&scalar, "log", "a"), Dump(&columnar, "log", "a"));
-  EXPECT_EQ(Dump(&scalar, "t", "a, b"), Dump(&capped, "t", "a, b"));
+  EXPECT_EQ(Dump(&row, "t", "a, b"), Dump(&batch, "t", "a, b"));
+  EXPECT_EQ(Dump(&row, "u", "a, c"), Dump(&batch, "u", "a, c"));
+  EXPECT_EQ(Dump(&row, "log", "a"), Dump(&batch, "log", "a"));
+  EXPECT_EQ(Dump(&row, "t", "a, b"), Dump(&capped, "t", "a, b"));
 
-  // The workload actually exercised every strategy: the vectorized
-  // engines built hash tables (the columnar one through the bulk digest
-  // loops), the capped engine took the counted nested-loop fallback, and
-  // the columnar engines evaluated kernel chunks. (GlobalStats is
+  // The workload actually exercised every strategy: the batch engine
+  // built hash tables, the capped engine took the counted nested-loop
+  // fallback, and both evaluated columnar chunks. (GlobalStats is
   // process-wide; deltas only.)
   EXPECT_GT(exec::GlobalStats().hash_join_builds.load(), builds_before);
-  EXPECT_GT(exec::GlobalStats().hash_join_columnar_builds.load(),
-            columnar_builds_before);
   EXPECT_GT(exec::GlobalStats().hash_join_fallbacks.load(), fallbacks_before);
   EXPECT_GT(exec::GlobalStats().columnar_chunks.load(), chunks_before);
 }
@@ -240,16 +212,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedDifferential,
                          ::testing::Range(0u, 10u));
 
 // The paper schema end to end: Example 4.1's cascade plus an aggregate
-// guard, row vs pointer-vector vs columnar, including a rollback path.
+// guard, row vs batch, including a rollback path.
 TEST(VectorizedDifferentialFixed, PaperCascadeAndRollbackMatch) {
-  RuleEngineOptions scalar_opts;
-  scalar_opts.vectorized_execution = false;
-  RuleEngineOptions vector_opts;
-  vector_opts.columnar_execution = false;
-  Engine scalar(scalar_opts);
-  Engine vector(vector_opts);
-  Engine columnar;  // vectorized + columnar by default
-  for (Engine* e : {&scalar, &vector, &columnar}) {
+  RuleEngineOptions row_opts;
+  row_opts.batch_execution = false;
+  Engine row(row_opts);
+  Engine batch;  // batch execution by default
+  for (Engine* e : {&row, &batch}) {
     CreatePaperSchema(e);
     LoadOrgChart(e);
     ASSERT_OK(e->Execute(
@@ -266,25 +235,18 @@ TEST(VectorizedDifferentialFixed, PaperCascadeAndRollbackMatch) {
   for (const char* victim : {"Jane", "Jim", "Mary", "Bill"}) {
     std::string sql = std::string("delete from emp where name = '") + victim +
                       "'";
-    auto ts = scalar.ExecuteBlock(sql);
-    auto tv = vector.ExecuteBlock(sql);
-    auto tl = columnar.ExecuteBlock(sql);
-    ASSERT_EQ(ts.ok(), tv.ok()) << sql;
-    ASSERT_EQ(ts.ok(), tl.ok()) << sql;
-    if (ts.ok()) {
-      EXPECT_EQ(TraceSig(ts.value()), TraceSig(tv.value())) << sql;
-      EXPECT_EQ(TraceSig(ts.value()), TraceSig(tl.value())) << sql;
+    auto tr = row.ExecuteBlock(sql);
+    auto tb = batch.ExecuteBlock(sql);
+    ASSERT_EQ(tr.ok(), tb.ok()) << sql;
+    if (tr.ok()) {
+      EXPECT_EQ(TraceSig(tr.value()), TraceSig(tb.value())) << sql;
     } else {
-      EXPECT_EQ(ts.status().code(), tv.status().code()) << sql;
-      EXPECT_EQ(ts.status().code(), tl.status().code()) << sql;
+      EXPECT_EQ(tr.status().code(), tb.status().code()) << sql;
     }
-    ASSERT_EQ(scalar.db().Checksum(), vector.db().Checksum()) << sql;
-    ASSERT_EQ(scalar.db().Checksum(), columnar.db().Checksum()) << sql;
+    ASSERT_EQ(row.db().Checksum(), batch.db().Checksum()) << sql;
   }
-  EXPECT_EQ(Dump(&scalar, "emp", "name, emp_no, salary, dept_no"),
-            Dump(&vector, "emp", "name, emp_no, salary, dept_no"));
-  EXPECT_EQ(Dump(&scalar, "emp", "name, emp_no, salary, dept_no"),
-            Dump(&columnar, "emp", "name, emp_no, salary, dept_no"));
+  EXPECT_EQ(Dump(&row, "emp", "name, emp_no, salary, dept_no"),
+            Dump(&batch, "emp", "name, emp_no, salary, dept_no"));
 }
 
 }  // namespace
