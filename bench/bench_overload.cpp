@@ -98,7 +98,7 @@ std::unique_ptr<server::SessionManager> OpenServer() {
   RuleEngineOptions options;
   options.wal_dir = MakeTempDir();
   options.wal_fsync = WalFsyncPolicy::kOff;  // measure admission, not fsync
-  auto manager = server::SessionManager::Open(options, /*record_locks=*/true);
+  auto manager = server::SessionManager::Open(options);
   Check(manager.status(), "open");
   auto setup = manager.value()->CreateSession();
   Check(setup.status(), "setup session");

@@ -24,13 +24,16 @@
 // Both engines produce identical results (the differential suite proves
 // it); this bench measures only the cost. Every measurement is one
 // thread; "cpus" records the machine's hardware thread count so a reader
-// knows what else could have been running. Each repetition builds a
-// fresh engine per mode and workload (modes alternate within a
-// repetition, so slow drift hits both alike) and times `iterations`
-// transactions after one warm-up; the JSON reports every repetition plus
-// median/min/max per mode and workload. It also records the exec-layer
-// counters so the trend tracker can verify the hash join actually
-// engaged (hash_join_builds > 0) rather than silently falling back.
+// knows what else could have been running. One untimed repetition of
+// both modes runs first and is discarded (the first engines a process
+// builds run slower). Each timed repetition then builds a fresh engine
+// per mode and workload, with the mode that goes first alternating from
+// one repetition to the next so neither always runs first, and times
+// `iterations` transactions after one warm-up; the JSON reports every
+// repetition plus median/min/max per mode and workload. It also records
+// the exec-layer counters of the timed repetitions so the trend tracker
+// can verify the hash join actually engaged (hash_join_builds > 0)
+// rather than silently falling back.
 //
 // Run: ./build/bench/bench_rule_vectorized [iterations] [repetitions]
 // (defaults 12 and 5). Emits BENCH_rule_vectorized.json.
@@ -208,6 +211,41 @@ Summary Summarize(const std::vector<RunResult>& runs, const std::string& mode,
   return {median, v.front(), v.back()};
 }
 
+const char* const kModes[2] = {"row", "batch"};
+const char* const kWorkloads[2] = {"rule_dense", "filter"};
+
+/// Runs both workloads in mode `m` (0 row, 1 batch), each on a fresh
+/// engine with one warm-up transaction outside the timed window, and
+/// records the timings as repetition `rep`; the warm-up repetition
+/// (`results` null) is run and thrown away.
+void RunMode(int m, int rep, int iters, std::vector<RunResult>* results) {
+  RuleEngineOptions options;
+  options.batch_execution = m == 1;
+  const char* mode = kModes[m];
+  {
+    Engine engine(options);
+    SetupRuleDense(&engine);
+    RunRuleDense(&engine, 1);
+    double secs = RunRuleDense(&engine, iters);
+    if (results != nullptr) {
+      results->push_back({mode, "rule_dense", rep, secs, iters / secs});
+      std::printf("rep %d rule_dense %-6s %6.3fs  (%.2f tx/s)\n", rep, mode,
+                  secs, iters / secs);
+    }
+  }
+  {
+    Engine engine(options);
+    SetupFilter(&engine);
+    RunFilter(&engine, 1);
+    double secs = RunFilter(&engine, iters);
+    if (results != nullptr) {
+      results->push_back({mode, "filter", rep, secs, iters / secs});
+      std::printf("rep %d filter     %-6s %6.3fs  (%.2f q/s)\n", rep, mode,
+                  secs, iters / secs);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sopr
 
@@ -222,36 +260,22 @@ int main(int argc, char** argv) {
     std::cerr << "usage: bench_rule_vectorized [iterations] [repetitions]\n";
     return 2;
   }
-  static const char* kModes[2] = {"row", "batch"};
-  static const char* kWorkloads[2] = {"rule_dense", "filter"};
+  using sopr::kModes;
+  using sopr::kWorkloads;
   std::vector<sopr::RunResult> results;
+
+  // The first engines a process builds measure slower than later ones on
+  // the same code, so one untimed repetition of both modes runs first,
+  // and the mode that goes first alternates from one repetition to the
+  // next.
+  for (int m = 0; m < 2; ++m) sopr::RunMode(m, -1, iters, nullptr);
 
   const sopr::exec::ExecStatsSnapshot before =
       sopr::exec::SnapshotStats();
 
   for (int rep = 0; rep < reps; ++rep) {
-    for (int m = 0; m < 2; ++m) {
-      sopr::RuleEngineOptions options;
-      options.batch_execution = m == 1;
-      const char* mode = kModes[m];
-      {
-        sopr::Engine engine(options);
-        sopr::SetupRuleDense(&engine);
-        sopr::RunRuleDense(&engine, 1);  // warm-up, outside the window
-        double secs = sopr::RunRuleDense(&engine, iters);
-        results.push_back({mode, "rule_dense", rep, secs, iters / secs});
-        std::printf("rep %d rule_dense %-6s %6.3fs  (%.2f tx/s)\n", rep, mode,
-                    secs, iters / secs);
-      }
-      {
-        sopr::Engine engine(options);
-        sopr::SetupFilter(&engine);
-        sopr::RunFilter(&engine, 1);
-        double secs = sopr::RunFilter(&engine, iters);
-        results.push_back({mode, "filter", rep, secs, iters / secs});
-        std::printf("rep %d filter     %-6s %6.3fs  (%.2f q/s)\n", rep, mode,
-                    secs, iters / secs);
-      }
+    for (int k = 0; k < 2; ++k) {
+      sopr::RunMode(rep % 2 == 0 ? k : 1 - k, rep, iters, &results);
     }
   }
 

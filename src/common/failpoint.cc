@@ -38,9 +38,8 @@ const char* const kSiteCatalog[] = {
     "engine.execute.pre",
     "engine.ddl.pre",
     // Concurrent front-end (server/): `submit.pre` fires as a session's
-    // transaction enters the commit scheduler (before the single-writer
-    // critical section); `session.create` before a new session is
-    // admitted.
+    // transaction enters the commit scheduler (before writer admission);
+    // `session.create` before a new session is admitted.
     "server.submit.pre",
     "server.session.create",
     // Record-level lock manager (storage/lock_manager.cc): `lock.acquire`

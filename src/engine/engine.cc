@@ -267,13 +267,9 @@ Result<QueryResult> Engine::Query(const std::string& sql) {
   if (stmt->kind != StmtKind::kSelect) {
     return Status::InvalidArgument("Query expects a select statement");
   }
-  return QueryParsed(static_cast<const SelectStmt&>(*stmt));
-}
-
-Result<QueryResult> Engine::QueryParsed(const SelectStmt& stmt) {
   DatabaseResolver resolver(db_.get());
   Executor executor(db_.get(), &resolver, ExecOptionsFrom(rules_->options()));
-  return executor.ExecuteSelect(stmt);
+  return executor.ExecuteSelect(static_cast<const SelectStmt&>(*stmt));
 }
 
 Result<QueryResult> Engine::QueryAtSnapshot(const SelectStmt& stmt,

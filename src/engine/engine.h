@@ -87,9 +87,10 @@ class Engine {
   Result<size_t> TableSize(const std::string& table) const;
 
   // --- Concurrent front-end support (src/server/, docs/CONCURRENCY.md).
-  // The Engine itself takes no locks: callers (the CommitScheduler) must
-  // serialize ExecuteStaged / ExecuteDdlScript / Checkpoint exclusively
-  // and may run QueryParsed concurrently under a shared lock.
+  // The Engine itself takes no scheduler locks: the CommitScheduler runs
+  // ExecuteStaged under record locks (EnableConcurrentWriters), keeps
+  // ExecuteDdlScript / Checkpoint exclusive, and runs QueryAtSnapshot
+  // beside both.
   /// True if `stmt` is DDL (schema or rule catalog change) — the routing
   /// predicate sessions use to pick ExecuteDdlScript vs ExecuteStaged.
   static bool IsDdlStmt(const Stmt& stmt);
@@ -107,14 +108,11 @@ class Engine {
   /// Applies a parsed all-DDL script (apply-then-log, like Execute's DDL
   /// path). Consumes create-rule statements from `stmts`.
   Status ExecuteDdlScript(std::vector<StmtPtr>& stmts);
-  /// Runs an already-parsed select.
-  Result<QueryResult> QueryParsed(const SelectStmt& stmt);
 
   // --- MVCC snapshot reads (docs/CONCURRENCY.md) ---
   /// Turns on version tracking. Call after recovery and before concurrent
   /// readers exist (the SessionManager does this).
   void EnableMvcc() { db_->EnableMvcc(); }
-  bool mvcc_enabled() const { return db_->mvcc_enabled(); }
 
   // --- Record-level write locking (docs/CONCURRENCY.md) ---
   /// Turns on record-level write locking so writer sessions touching

@@ -405,7 +405,7 @@ std::string Server::HandleRequest(uint64_t conn_id, const ConnPtr& conn,
       PayloadReader reader(frame.payload);
       auto sql = reader.Str();
       if (!sql.ok()) return protocol_error("malformed QUERY");
-      auto result = session->ExecuteQuery(sql.value());
+      auto result = session->Query(sql.value());
       if (!result.ok()) return error_frame(result.status());
       PayloadWriter w;
       w.PutResult(result.value());

@@ -122,8 +122,10 @@ class Follower {
   /// committed log, truncates the dead primary's torn tail, certifies
   /// invariants, and attaches a WalWriter continuing the LSN sequence.
   /// Returns the promoted engine — a full primary whose commits append
-  /// to the same log. The follower keeps serving already-pinned
-  /// snapshots but accepts no new work.
+  /// to the same log. The follower accepts no new work, and QueryAt on a
+  /// snapshot pinned before promotion answers kUnavailable. Such a
+  /// snapshot's pin lives in the promoted engine's registry, so drop it
+  /// before destroying that engine.
   Result<std::unique_ptr<Engine>> Promote();
 
   bool promoted() const { return promoted_.load(std::memory_order_acquire); }

@@ -26,8 +26,8 @@ void CommitScheduler::RecordFatal(const Status& failure) {
 Result<ExecutionTrace> CommitScheduler::ExecuteBlock(
     const std::vector<StmtPtr>& stmts, CommitReceipt* receipt) {
   // Stage + await back-to-back: the single-statement path is a pipeline
-  // of one. The exclusive/shared section still ends at WAL staging, so
-  // the durability wait below overlaps the next transaction's apply.
+  // of one. The writer section still ends at WAL staging, so the
+  // durability wait below overlaps the next transaction's apply.
   StagedCommit staged;
   Result<ExecutionTrace> trace = ExecuteBlockStaged(stmts, &staged);
   if (!trace.ok()) return trace;
@@ -61,17 +61,10 @@ Result<ExecutionTrace> CommitScheduler::ExecuteBlockStaged(
   std::shared_ptr<wal::CommitTicket> ticket;
   CommitReceipt local;
   Result<ExecutionTrace> trace = [&]() -> Result<ExecutionTrace> {
-    // Admission: exclusive in serial mode (one writer at a time), SHARED
-    // with record-level locking on — conflicting rows serialize on their
+    // Shared admission: conflicting rows serialize on their record
     // locks, disjoint writers overlap, and the exclusive side stays the
-    // wall for DDL / checkpoints / baseline reads.
-    std::unique_lock<std::shared_mutex> exclusive;
-    std::shared_lock<std::shared_mutex> shared;
-    if (engine_->concurrent_writers()) {
-      shared = std::shared_lock<std::shared_mutex>(state_mu_);
-    } else {
-      exclusive = std::unique_lock<std::shared_mutex>(state_mu_);
-    }
+    // wall for DDL / checkpoints / Explain.
+    std::shared_lock<std::shared_mutex> shared(state_mu_);
     // Re-check under the lock: a concurrent writer may have gone fatal
     // while this transaction queued for admission.
     SOPR_RETURN_NOT_OK(CheckFatal());
@@ -173,24 +166,9 @@ Status CommitScheduler::ExecuteDdl(std::vector<StmtPtr> stmts) {
   // state_mu_ -> schema_mu_ (readers take only schema_mu_).
   std::unique_lock<std::shared_mutex> schema_lock(schema_mu_);
   SOPR_RETURN_NOT_OK(CheckFatal());
-  // AppendDdl flushes the group queue itself; no staged batch can be
-  // added meanwhile because staging happens under this exclusive lock.
+  // AppendDdl flushes the group queue itself; no batch can be staged
+  // meanwhile: staging holds state_mu_ shared, which this lock excludes.
   return engine_->ExecuteDdlScript(stmts);
-}
-
-Result<QueryResult> CommitScheduler::Query(const SelectStmt& stmt) {
-  // Reads stay available even after a fatal durability failure: the
-  // in-memory state is intact, only its durable tail is gone.
-  if (engine_->concurrent_writers()) {
-    // Writers are admitted shared, so the baseline read path must take
-    // the wall: this query must not observe an in-flight transaction's
-    // uncommitted rows. (Snapshot reads — QuerySnapshot/QueryAt — remain
-    // the never-blocking path.)
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
-    return engine_->QueryParsed(stmt);
-  }
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return engine_->QueryParsed(stmt);
 }
 
 SnapshotRegistry::Pin CommitScheduler::PinSnapshot() {
@@ -222,17 +200,12 @@ Result<QueryResult> CommitScheduler::QueryAt(const SnapshotRegistry::Pin& pin,
 }
 
 Result<QueryResult> CommitScheduler::QuerySnapshot(const SelectStmt& stmt) {
-  if (!engine_->mvcc_enabled()) return Query(stmt);
   SnapshotRegistry::Pin pin = PinSnapshot();
   return QueryAt(pin, stmt);
 }
 
 Result<std::string> CommitScheduler::Explain(const std::string& sql) {
-  if (engine_->concurrent_writers()) {
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
-    return ExplainSelect(engine_, sql);
-  }
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(state_mu_);
   return ExplainSelect(engine_, sql);
 }
 

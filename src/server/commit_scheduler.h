@@ -31,31 +31,29 @@ struct CommitReceipt {
 };
 
 /// The ticketed executor in front of the shared Engine
-/// (docs/CONCURRENCY.md). In the default serial mode, transactions are
-/// admitted through a single-writer critical section:
+/// (docs/CONCURRENCY.md). The engine runs with MVCC and record-level
+/// write locking (Engine::EnableMvcc, Engine::EnableConcurrentWriters),
+/// and a transaction moves through:
 ///
 ///   parse (caller's thread, no lock)
-///     -> exclusive: apply block + rule fixpoint + stage WAL batch
-///     -> no lock:   await group-commit durability
+///     -> shared state_mu_: apply block + rule fixpoint + stage WAL batch
+///     -> no lock:          await group-commit durability
 ///
-/// The exclusive section ends at StageCommitTxn, so the next
-/// transaction's apply phase overlaps this one's fsync — that overlap is
-/// what lets the WAL's cohort leader batch several commits into one
-/// fsync. Read-only queries run under the shared side of the lock,
-/// concurrent with each other.
-///
-/// With record-level write locking enabled
-/// (Engine::EnableConcurrentWriters), writers are admitted under the
-/// SHARED side instead: record/table locks serialize conflicting rows
-/// while disjoint-row transactions overlap end-to-end, and the rule
-/// engine's commit mutex keeps LSN assignment and version stamping in
-/// one order. The exclusive side becomes the wall reserved for DDL,
-/// checkpoints, WithExclusive, and baseline Query/Explain reads (which
-/// must not observe in-flight writers' uncommitted rows). §4 semantics
-/// per transaction are unchanged: strict two-phase locking holds every
-/// lock until the transaction's whole fixpoint commits or aborts, so the
-/// record conflict order equals the commit-LSN order and the final state
-/// equals a serial replay in commit-LSN order.
+/// Writers are admitted on the SHARED side of state_mu_: record/table
+/// locks serialize conflicting rows while disjoint-row transactions
+/// overlap end-to-end, and the rule engine's commit mutex keeps LSN
+/// assignment and version stamping in one order. The section ends at
+/// StageCommitTxn, so the durability wait overlaps later transactions'
+/// apply phases — that overlap is what lets the WAL's cohort leader
+/// batch several commits into one fsync. Reads run against pinned MVCC
+/// snapshots and never take state_mu_. The exclusive side is the wall
+/// reserved for DDL, checkpoints, WithExclusive, replica apply and
+/// Explain (which must not observe in-flight writers' uncommitted rows).
+/// §4 semantics per transaction hold as if transactions ran one at a
+/// time: strict two-phase locking holds every lock until the
+/// transaction's whole fixpoint commits or aborts, so the record
+/// conflict order equals the commit-LSN order and the final state equals
+/// a serial replay in commit-LSN order.
 ///
 /// Failure domain: if AwaitDurable fails, the transaction is already
 /// committed in memory and later transactions may have built on it, so
@@ -143,16 +141,10 @@ class CommitScheduler {
   /// (drains the group-commit queue so records stay in LSN order).
   Status ExecuteDdl(std::vector<StmtPtr> stmts);
 
-  /// Read-only select under the shared lock (concurrent with other
-  /// queries, serialized against the apply phase). This is the pre-MVCC
-  /// baseline path, kept for comparison (bench_snapshot_reads) and for
-  /// engines without MVCC enabled.
-  Result<QueryResult> Query(const SelectStmt& stmt);
-
   // --- MVCC snapshot reads (docs/CONCURRENCY.md) ---
 
   /// Newest published snapshot point: advances monotonically inside the
-  /// exclusive section after a transaction's versions are stamped, so a
+  /// writer section after a transaction's versions are stamped, so a
   /// snapshot at this LSN can never see a torn transaction.
   uint64_t visible_lsn() const {
     return visible_lsn_.load(std::memory_order_acquire);
@@ -165,17 +157,17 @@ class CommitScheduler {
   /// block DDL; use QueryAt, which takes the schema lock per query.
   SnapshotRegistry::Pin PinSnapshot();
 
-  /// Runs `stmt` against the pinned snapshot, entirely outside the
-  /// exclusive writer section (readers never block writers). Takes the
-  /// schema lock shared for the duration of the query.
+  /// Runs `stmt` against the pinned snapshot without touching state_mu_
+  /// (readers never block writers). Takes the schema lock shared for the
+  /// duration of the query.
   Result<QueryResult> QueryAt(const SnapshotRegistry::Pin& pin,
                               const SelectStmt& stmt);
 
   /// One-shot snapshot read: pin the current visible LSN, query, unpin.
-  /// Falls back to Query() when the engine has no MVCC.
   Result<QueryResult> QuerySnapshot(const SelectStmt& stmt);
 
-  /// Explains a select — purely analytical, a read (shared lock).
+  /// Explains a select under the exclusive lock: the analysis reads
+  /// live tables, so it must not observe in-flight writers' rows.
   Result<std::string> Explain(const std::string& sql);
 
   /// Runs `fn` with the exclusive lock held (maintenance wall between
@@ -197,8 +189,7 @@ class CommitScheduler {
   /// DDL record) under the writer-exclusive lock — and, for DDL, the
   /// schema lock — so replica apply observes exactly the locking
   /// discipline primary writers do: snapshot readers never see a
-  /// half-applied catalog, and baseline Query/Explain never see a
-  /// half-applied group.
+  /// half-applied catalog, and Explain never sees a half-applied group.
   Status ApplyReplicated(bool ddl, const std::function<Status()>& fn);
 
   /// CAS-max publication of the follower's replayed LSN as the visible
@@ -230,19 +221,20 @@ class CommitScheduler {
   Status MaybeCheckpoint();
 
   Engine* engine_;
-  /// Writers exclusive, readers shared. Never held across fsync: the
-  /// durability wait happens after release.
+  /// Writers shared; DDL, checkpoints, Explain and replica apply
+  /// exclusive. Never held across fsync: the durability wait happens
+  /// after release.
   std::shared_mutex state_mu_;
   /// Excludes DDL from snapshot reads: snapshots version rows, not the
   /// catalog. DDL takes it exclusive (after state_mu_ — fixed order);
   /// snapshot readers take only this one, shared, so no deadlock cycle
   /// with writers is possible.
   std::shared_mutex schema_mu_;
-  /// Published snapshot head. Written only inside the exclusive section
+  /// Published snapshot head. Written only inside the writer section
   /// AFTER the committing transaction stamped its versions — even when
   /// the block fails after an inner commit, so it never lags
-  /// last_commit_lsn once the exclusive section is released; the release
-  /// store pairs with the acquire load in visible_lsn().
+  /// last_commit_lsn once the section is released; the release store
+  /// pairs with the acquire load in visible_lsn().
   std::atomic<uint64_t> visible_lsn_;
   mutable std::mutex fatal_mu_;
   Status fatal_;

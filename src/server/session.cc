@@ -21,32 +21,33 @@ Session::StatementScope::StatementScope(Session* session) : session_(session) {
         std::to_string(inflight - 1) + " statement(s) in flight (limit " +
         std::to_string(session->max_inflight_statements_) +
         "); a session is a single-threaded connection handle");
-    return;
   }
-  CancelTokenPtr kill = session->KillToken();
-  if (kill->cancelled()) {
-    status_ = Status::Cancelled("session " + std::to_string(session->id()) +
-                                " was killed: " + kill->reason());
-    return;
-  }
-  session->statements_.fetch_add(1, std::memory_order_relaxed);
-  // Compose this statement's cancellation sources on top of whatever the
-  // caller installed, and make them ambient for every layer below —
-  // admission queue, lock waits, scan batches, rule boundaries, the
-  // durability wait.
-  ctx_ = CancelContext::InheritAmbient();
-  ctx_.AddToken(std::move(kill),
-                "session " + std::to_string(session->id()) + " kill");
-  if (session->statement_timeout_.count() > 0) {
-    ctx_.AddDeadline(Deadline::After(session->statement_timeout_),
-                     "statement timeout");
-  }
-  scope_.emplace(&ctx_);
 }
 
 Session::StatementScope::~StatementScope() {
-  scope_.reset();
   session_->inflight_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+Status Session::StatementScope::Begin(CancelContext* ctx) {
+  SOPR_RETURN_NOT_OK(status_);
+  CancelTokenPtr kill = session_->KillToken();
+  if (kill->cancelled()) {
+    return Status::Cancelled("session " + std::to_string(session_->id()) +
+                             " was killed: " + kill->reason());
+  }
+  session_->statements_.fetch_add(1, std::memory_order_relaxed);
+  // Compose this statement's cancellation sources on top of whatever the
+  // caller installed; the caller makes them ambient for every layer
+  // below — admission queue, lock waits, scan batches, rule boundaries,
+  // the durability wait.
+  *ctx = CancelContext::InheritAmbient();
+  ctx->AddToken(std::move(kill),
+                "session " + std::to_string(session_->id()) + " kill");
+  if (session_->statement_timeout_.count() > 0) {
+    ctx->AddDeadline(Deadline::After(session_->statement_timeout_),
+                     "statement timeout");
+  }
+  return Status::OK();
 }
 
 void Session::Cancel(const std::string& reason) {
@@ -67,8 +68,8 @@ CancelTokenPtr Session::KillToken() const {
 
 bool Session::IsReadOnlyScript(const std::vector<StmtPtr>& stmts) {
   // With the §5.1 select-triggering extension on, a select is a
-  // rule-firing operation like any write: it must run in a transaction
-  // through the exclusive section.
+  // rule-firing operation like any write: it must run in a writer
+  // transaction.
   if (scheduler().engine()->rules().options().track_selects) return false;
   for (const StmtPtr& stmt : stmts) {
     if (stmt->kind != StmtKind::kSelect) return false;
@@ -77,59 +78,7 @@ bool Session::IsReadOnlyScript(const std::vector<StmtPtr>& stmts) {
 }
 
 Status Session::Execute(const std::string& sql) {
-  StatementScope stmt(this);
-  SOPR_RETURN_NOT_OK(stmt.admitted());
-  // Parsing happens here, on the session's thread, with no engine lock
-  // held — the concurrent half of the parse/plan-then-serialize pipeline.
-  SOPR_RETURN_NOT_OK(FailpointRegistry::Instance().EnsureEnvArmed());
-  SOPR_ASSIGN_OR_RETURN(std::vector<StmtPtr> stmts, Parser::ParseScript(sql));
-  if (Engine::IsDdlStmt(*stmts[0])) {
-    return scheduler().ExecuteDdl(std::move(stmts));
-  }
-  for (const StmtPtr& stmt : stmts) {
-    if (Engine::IsDdlStmt(*stmt)) {
-      return Status::InvalidArgument(
-          "cannot mix DDL and DML in one script: " + stmt->ToString());
-    }
-  }
-  if (IsReadOnlyScript(stmts) && scheduler().engine()->mvcc_enabled()) {
-    // All statements read the same pinned snapshot — the read-only
-    // transaction is atomic without ever touching the exclusive section.
-    // A select into a transition table still fails with the usual
-    // catalog error, exactly as it did on the write path. Without MVCC
-    // there is no snapshot to make a multi-select script atomic, so the
-    // script falls through to ExecuteBlock's exclusive section (the
-    // pre-MVCC behavior) instead of running statement-by-statement under
-    // separately acquired shared locks.
-    Snapshot snapshot = scheduler().PinSnapshot();
-    for (const StmtPtr& stmt : stmts) {
-      const auto& select = static_cast<const SelectStmt&>(*stmt);
-      auto result = scheduler().QueryAt(snapshot, select);
-      if (!result.ok()) {
-        ++aborts_;
-        return result.status();
-      }
-    }
-    // Mirror the old behavior of a select-only block (a committed
-    // read-only transaction with an empty receipt).
-    ++commits_;
-    last_receipt_ = CommitReceipt{};
-    return Status::OK();
-  }
-  CommitReceipt receipt;
-  auto trace = scheduler().ExecuteBlock(stmts, &receipt);
-  if (!trace.ok()) {
-    ++aborts_;
-    return trace.status();
-  }
-  if (trace.value().rolled_back) {
-    ++aborts_;
-    return Status::RolledBack("transaction rolled back by rule " +
-                              trace.value().rollback_rule);
-  }
-  ++commits_;
-  last_receipt_ = receipt;
-  return Status::OK();
+  return ExecutePipelined({sql})[0].status;
 }
 
 std::vector<Session::PipelineResult> Session::ExecutePipelined(
@@ -140,18 +89,8 @@ std::vector<Session::PipelineResult> Session::ExecutePipelined(
   // The whole run occupies ONE in-flight statement slot: a pipeline is
   // still a single thread driving the session, and the slot is what
   // enforces that contract (a racing statement on another thread is
-  // refused, not raced). Mirrors StatementScope's admission check.
-  const int inflight = inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (static_cast<size_t>(inflight) > max_inflight_statements_) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    Status refused = Status::Overloaded(
-        "session " + std::to_string(id()) + " already has " +
-        std::to_string(inflight - 1) + " statement(s) in flight (limit " +
-        std::to_string(max_inflight_statements_) +
-        "); a session is a single-threaded connection handle");
-    for (PipelineResult& r : out) r.status = refused;
-    return out;
-  }
+  // refused, not raced).
+  StatementScope run(this);
 
   // One staged-but-unawaited transaction per consecutive DML script.
   // Each keeps its own CancelContext alive from stage start through its
@@ -193,20 +132,9 @@ std::vector<Session::PipelineResult> Session::ExecutePipelined(
   };
 
   for (size_t i = 0; i < scripts.size(); ++i) {
-    CancelTokenPtr kill = KillToken();
-    if (kill->cancelled()) {
-      out[i].status =
-          Status::Cancelled("session " + std::to_string(id()) +
-                            " was killed: " + kill->reason());
-      continue;
-    }
-    statements_.fetch_add(1, std::memory_order_relaxed);
-    auto ctx = std::make_unique<CancelContext>(CancelContext::InheritAmbient());
-    ctx->AddToken(std::move(kill), "session " + std::to_string(id()) + " kill");
-    if (statement_timeout_.count() > 0) {
-      ctx->AddDeadline(Deadline::After(statement_timeout_),
-                       "statement timeout");
-    }
+    auto ctx = std::make_unique<CancelContext>();
+    out[i].status = run.Begin(ctx.get());
+    if (!out[i].status.ok()) continue;
     CancelScope scope(ctx.get());
 
     Status env = FailpointRegistry::Instance().EnsureEnvArmed();
@@ -239,11 +167,13 @@ std::vector<Session::PipelineResult> Session::ExecutePipelined(
     }
     if (mixed) continue;
 
-    if (IsReadOnlyScript(stmts) && scheduler().engine()->mvcc_enabled()) {
-      // Same as Execute: one pinned snapshot, results discarded (the
-      // protocol's QUERY frame is the path that returns rows). Staged
-      // commits already published their LSNs, so the pin sees every
-      // earlier script in this run.
+    if (IsReadOnlyScript(stmts)) {
+      // All statements read one pinned snapshot, so the read-only
+      // transaction is atomic without entering the writer section.
+      // Results are discarded (the protocol's QUERY frame is the path
+      // that returns rows). Staged commits already published their LSNs,
+      // so the pin sees every earlier script in this run. A select into
+      // a transition table fails with the usual catalog error.
       Snapshot snapshot = scheduler().PinSnapshot();
       Status read;
       for (const StmtPtr& stmt : stmts) {
@@ -266,14 +196,18 @@ std::vector<Session::PipelineResult> Session::ExecutePipelined(
 
     // DML: stage without awaiting. Admission must not QUEUE while we
     // hold staged commits — the in-flight slots we would queue for may
-    // be our own, which release only when we await. TryAdmit either
-    // hands us a free slot now or tells us to drain first.
+    // be our own, which release only when we await. With commits
+    // pending, TryAdmit either hands us a free slot now or tells us to
+    // drain first; with none, ExecuteBlockStaged runs normal blocking
+    // admission.
     AdmissionController::Slot slot;
-    auto try_slot = scheduler().admission().TryAdmit();
-    if (try_slot.ok()) {
-      slot = std::move(try_slot).value();
-    } else if (!pending.empty()) {
-      flush();
+    if (!pending.empty()) {
+      auto try_slot = scheduler().admission().TryAdmit();
+      if (try_slot.ok()) {
+        slot = std::move(try_slot).value();
+      } else {
+        flush();
+      }
     }
     CommitScheduler::StagedCommit staged;
     auto trace =
@@ -292,65 +226,31 @@ std::vector<Session::PipelineResult> Session::ExecutePipelined(
     pending.push_back(std::move(entry));
   }
   flush();
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
   return out;
 }
 
-Result<ExecutionTrace> Session::ExecuteBlock(const std::string& sql) {
-  StatementScope stmt(this);
-  SOPR_RETURN_NOT_OK(stmt.admitted());
-  SOPR_RETURN_NOT_OK(FailpointRegistry::Instance().EnsureEnvArmed());
-  SOPR_ASSIGN_OR_RETURN(std::vector<StmtPtr> stmts, Parser::ParseScript(sql));
-  for (const StmtPtr& stmt : stmts) {
-    if (Engine::IsDdlStmt(*stmt)) {
-      return Status::InvalidArgument("ExecuteBlock expects DML, got: " +
-                                     stmt->ToString());
-    }
-  }
-  CommitReceipt receipt;
-  auto trace = scheduler().ExecuteBlock(stmts, &receipt);
-  if (!trace.ok()) {
-    ++aborts_;
-    return trace;
-  }
-  if (trace.value().rolled_back) {
-    ++aborts_;
-  } else {
-    ++commits_;
-    last_receipt_ = receipt;
-  }
-  return trace;
-}
-
 Result<QueryResult> Session::Query(const std::string& sql) {
-  return ExecuteQuery(sql);
-}
-
-Result<QueryResult> Session::ExecuteQuery(const std::string& sql) {
   StatementScope stmt_scope(this);
-  SOPR_RETURN_NOT_OK(stmt_scope.admitted());
+  CancelContext ctx;
+  SOPR_RETURN_NOT_OK(stmt_scope.Begin(&ctx));
+  CancelScope cancel(&ctx);
   SOPR_ASSIGN_OR_RETURN(StmtPtr stmt, Parser::ParseStatement(sql));
   if (stmt->kind != StmtKind::kSelect) {
     return Status::InvalidArgument("Query expects a select statement");
   }
-  // QuerySnapshot pins the newest published snapshot and runs outside
-  // the exclusive section; without MVCC it degrades to the shared-lock
-  // read path.
   return scheduler().QuerySnapshot(static_cast<const SelectStmt&>(*stmt));
 }
 
 Result<Session::Snapshot> Session::PinSnapshot() {
-  if (!scheduler().engine()->mvcc_enabled()) {
-    return Status::InvalidArgument(
-        "PinSnapshot requires MVCC (enabled by the SessionManager)");
-  }
   return scheduler().PinSnapshot();
 }
 
 Result<QueryResult> Session::QueryAt(const Snapshot& snapshot,
                                      const std::string& sql) {
   StatementScope stmt_scope(this);
-  SOPR_RETURN_NOT_OK(stmt_scope.admitted());
+  CancelContext ctx;
+  SOPR_RETURN_NOT_OK(stmt_scope.Begin(&ctx));
+  CancelScope cancel(&ctx);
   if (!snapshot.pinned()) {
     return Status::InvalidArgument("QueryAt: snapshot is not pinned");
   }

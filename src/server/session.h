@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/cancel.h"
 #include "server/commit_scheduler.h"
@@ -20,7 +20,7 @@ class SessionManager;
 /// One client connection to the shared engine. A session owns its own
 /// SQL parsing (done on the calling thread, outside every engine lock)
 /// and its per-session counters; transactions are handed to the shared
-/// CommitScheduler for serialized apply and group-commit durability.
+/// CommitScheduler for record-locked apply and group-commit durability.
 ///
 /// Threading: different sessions are safe to drive from different
 /// threads concurrently — that is the point. ONE session must be driven
@@ -44,22 +44,8 @@ class Session {
   /// Autocommit execution of a SQL script: either an all-DDL script or
   /// one DML operation block run as a single transaction (rules to
   /// quiescence, group commit). Returns kRolledBack if a rule's rollback
-  /// action fired.
-  ///
-  /// Read-only classification: a script whose statements are all selects
-  /// is a read — it runs against one pinned snapshot, entirely outside
-  /// the exclusive writer section. Exceptions: when the engine's §5.1
-  /// select-triggering extension is on (track_selects), selects fire
-  /// rules and must route through the exclusive section like any write;
-  /// and without MVCC (never the SessionManager configuration) the
-  /// script also routes through the exclusive section, which is the only
-  /// thing that keeps a multi-select script atomic there. Any non-select
-  /// statement anywhere in the script makes the whole block a write
-  /// transaction.
+  /// action fired. A pipeline of one: ExecutePipelined({sql}).
   Status Execute(const std::string& sql);
-
-  /// Like Execute for DML, returning the full execution trace.
-  Result<ExecutionTrace> ExecuteBlock(const std::string& sql);
 
   /// Per-script outcome of a pipelined run (src/net/, docs/NETWORK.md).
   struct PipelineResult {
@@ -70,13 +56,20 @@ class Session {
   };
 
   /// Pipelined execution of autocommit scripts, each its own transaction
-  /// with Execute's exact semantics, EXCEPT that DML durability waits
-  /// are deferred: a run of consecutive DML scripts stages its
-  /// transactions back-to-back and awaits them together, so the whole
-  /// run rides one (or few) group-commit cohorts instead of one fsync
-  /// per script. This is the request-pipelining path of the network
-  /// front-end — the wire protocol queues a connection's statements and
-  /// the driving worker submits them through here.
+  /// with Execute's semantics, EXCEPT that DML durability waits are
+  /// deferred: a run of consecutive DML scripts stages its transactions
+  /// back-to-back and awaits them together, so the whole run rides one
+  /// (or few) group-commit cohorts instead of one fsync per script. This
+  /// is the request-pipelining path of the network front-end — the wire
+  /// protocol queues a connection's statements and the driving worker
+  /// submits them through here.
+  ///
+  /// Read-only classification: a script whose statements are all selects
+  /// is a read — it runs against one pinned snapshot and never enters the
+  /// writer section. The exception is the engine's §5.1 select-triggering
+  /// extension (track_selects): there selects fire rules and run as a
+  /// writer transaction. Any non-select statement anywhere in the script
+  /// makes the whole block a write transaction.
   ///
   /// Outcomes are per script and independent: script i+1 runs even when
   /// script i failed (each is its own autocommit transaction — there is
@@ -84,29 +77,27 @@ class Session {
   /// script in the run the moment it stages (same read-your-writes as
   /// sequential Execute); only its durability confirmation is deferred.
   /// The statement timeout applies per script, measured from the moment
-  /// its staging starts to the end of its durability wait. A session
-  /// kill fails the in-flight script at its next cancellation point and
-  /// refuses the rest.
+  /// its staging starts to the end of its durability wait. The whole run
+  /// occupies one in-flight statement slot. A session kill fails the
+  /// in-flight script at its next cancellation point and refuses the
+  /// rest.
   std::vector<PipelineResult> ExecutePipelined(
       const std::vector<std::string>& scripts);
 
-  /// Read-only query. With MVCC on (the SessionManager default) this
-  /// pins the newest published snapshot and never blocks on — or blocks —
-  /// the writer; otherwise it falls back to the shared-lock path.
+  /// Read-only query: pins the newest published snapshot and never
+  /// blocks on — or blocks — a writer.
   Result<QueryResult> Query(const std::string& sql);
-
-  /// Explicit alias for the snapshot read path (the name ISSUE 4 uses).
-  Result<QueryResult> ExecuteQuery(const std::string& sql);
 
   /// Pins the newest published snapshot for repeated reads: every
   /// QueryAt(snapshot, ...) sees the same state no matter what commits
-  /// meanwhile. Requires MVCC (kInvalidArgument otherwise).
+  /// meanwhile.
   Result<Snapshot> PinSnapshot();
   Result<QueryResult> QueryAt(const Snapshot& snapshot,
                               const std::string& sql);
 
-  /// `explain <select>` is a read: analyzes the plan under the shared
-  /// lock, never entering the exclusive section.
+  /// `explain <select>`: analyzes the plan against live tables under the
+  /// scheduler's exclusive lock, so it never observes an in-flight
+  /// writer's uncommitted rows.
   Result<std::string> Explain(const std::string& sql);
 
   // --- Overload protection (docs/OVERLOAD.md) ---
@@ -160,23 +151,27 @@ class Session {
   }
 
  private:
-  /// RAII around one statement: refuses killed sessions and in-flight
-  /// overflow, installs the session's cancellation sources (kill token,
-  /// statement deadline) thread-ambiently for every layer below, and
-  /// maintains the statement counters.
+  /// RAII around one statement or one pipelined run: claims the
+  /// session's in-flight slot, refusing overflow with kOverloaded, and
+  /// releases it on destruction. Each statement inside then starts with
+  /// Begin.
   class StatementScope {
    public:
     explicit StatementScope(Session* session);
     ~StatementScope();
     StatementScope(const StatementScope&) = delete;
     StatementScope& operator=(const StatementScope&) = delete;
-    /// OK when the statement may run; the refusal otherwise.
-    const Status& admitted() const { return status_; }
+
+    /// Starts one statement: returns the in-flight refusal or a killed
+    /// session's kCancelled; otherwise counts the statement and sets
+    /// `*ctx` to the caller's ambient sources plus the session kill
+    /// token and the statement deadline. The caller installs `*ctx` with
+    /// a CancelScope for as long as the statement runs (pipelined DML:
+    /// through its durability wait).
+    Status Begin(CancelContext* ctx);
 
    private:
     Session* session_;
-    CancelContext ctx_;
-    std::optional<CancelScope> scope_;
     Status status_;
   };
 

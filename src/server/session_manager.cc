@@ -8,11 +8,10 @@ namespace sopr {
 namespace server {
 
 Result<std::unique_ptr<SessionManager>> SessionManager::Open(
-    RuleEngineOptions options, bool concurrent_writers) {
+    RuleEngineOptions options) {
   SOPR_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
                         Engine::Open(std::move(options)));
-  return std::make_unique<SessionManager>(std::move(engine),
-                                          concurrent_writers);
+  return std::make_unique<SessionManager>(std::move(engine));
 }
 
 Result<Session*> SessionManager::CreateSession() {

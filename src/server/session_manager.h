@@ -30,21 +30,20 @@ class SessionManager {
  public:
   /// Builds the engine via Engine::Open (recovery + WAL attach + wal-dir
   /// lock when options.wal_dir is set; plain in-memory engine otherwise).
-  /// `concurrent_writers` (default on) enables record-level write
-  /// locking, letting disjoint-row writer sessions overlap end-to-end;
-  /// pass false for the serial-section baseline (bench comparisons).
   static Result<std::unique_ptr<SessionManager>> Open(
-      RuleEngineOptions options, bool concurrent_writers = true);
+      RuleEngineOptions options);
 
-  /// Wraps an already-opened engine (tests that build the parts by hand).
-  /// Turns on MVCC: recovery (if any) already ran inside Engine::Open, so
-  /// recovered rows stay unversioned — visible at every snapshot — and
-  /// version tracking starts with the first post-open commit.
-  explicit SessionManager(std::unique_ptr<Engine> engine,
-                          bool concurrent_writers = true)
+  /// Wraps an already-opened engine (tests that build the parts by hand)
+  /// and puts it in the server's one configuration: MVCC snapshot reads
+  /// plus record-level write locking, so disjoint-row writer sessions
+  /// overlap end-to-end. Recovery (if any) already ran inside
+  /// Engine::Open, so recovered rows stay unversioned — visible at every
+  /// snapshot — and version tracking starts with the first post-open
+  /// commit.
+  explicit SessionManager(std::unique_ptr<Engine> engine)
       : engine_(std::move(engine)), scheduler_(engine_.get()) {
     engine_->EnableMvcc();
-    if (concurrent_writers) engine_->EnableConcurrentWriters();
+    engine_->EnableConcurrentWriters();
   }
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;

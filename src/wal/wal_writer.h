@@ -58,7 +58,7 @@ struct GroupCommitStats {
 /// the fsync (the classic group-commit optimization):
 ///   1. StageCommitTxn encodes the batch and deposits it on a shared
 ///      queue, returning a CommitTicket. The caller's in-memory commit
-///      happens here, inside the front-end's single-writer section.
+///      happens here, inside the front-end's writer section.
 ///   2. AwaitDurable blocks until the ticket resolves. The first waiter
 ///      that finds the queue non-empty and no leader active becomes the
 ///      cohort leader: it drains the whole queue, writes every staged

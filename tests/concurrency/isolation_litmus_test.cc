@@ -61,9 +61,9 @@ class IsolationLitmusTest : public ::testing::Test {
 // --- Anomaly 1: dirty read ----------------------------------------------
 // The writer is parked at rules.commit.pre: its update is applied to the
 // heap but NOT committed. Expected table: reader sees the old value, and
-// completes while the writer is still inside the exclusive section
+// completes while the writer is still inside the writer section
 // (readers never block on writers — if they did, this test would hang at
-// the ExecuteQuery, not flake).
+// the Query, not flake).
 TEST_F(IsolationLitmusTest, DirtyRead) {
   auto manager = OpenManager();
   ASSERT_OK_AND_ASSIGN(server::Session * writer, manager->CreateSession());
@@ -84,12 +84,12 @@ TEST_F(IsolationLitmusTest, DirtyRead) {
   EXPECT_EQ(ScalarInt(manager->engine().Query("select v from t where id = 1")),
             20);
   // ...but the snapshot read sees only the committed 10.
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select v from t where id = 1")),
+  EXPECT_EQ(ScalarInt(reader->Query("select v from t where id = 1")),
             10);
 
   s.Release("rules.commit.pre");
   ASSERT_OK(s.Join("writer"));
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select v from t where id = 1")),
+  EXPECT_EQ(ScalarInt(reader->Query("select v from t where id = 1")),
             20);
 }
 
@@ -111,7 +111,7 @@ TEST_F(IsolationLitmusTest, NonRepeatableRead) {
   EXPECT_EQ(ScalarInt(session->QueryAt(snap, "select v from t where id = 1")),
             10)
       << "the pinned snapshot must repeat its first read";
-  EXPECT_EQ(ScalarInt(session->ExecuteQuery("select v from t where id = 1")),
+  EXPECT_EQ(ScalarInt(session->Query("select v from t where id = 1")),
             20);
 }
 
@@ -144,10 +144,10 @@ TEST_F(IsolationLitmusTest, ReadSkew) {
   EXPECT_EQ(ScalarInt(session->QueryAt(snap,
                                        "select sum(bal) from accounts")),
             100);
-  EXPECT_EQ(ScalarInt(session->ExecuteQuery(
+  EXPECT_EQ(ScalarInt(session->Query(
                 "select bal from accounts where id = 1")),
             40);
-  EXPECT_EQ(ScalarInt(session->ExecuteQuery(
+  EXPECT_EQ(ScalarInt(session->Query(
                 "select bal from accounts where id = 2")),
             60);
 }
@@ -180,7 +180,7 @@ TEST_F(IsolationLitmusTest, LostUpdateVisibleToReader) {
   EXPECT_EQ(
       ScalarInt(s1->QueryAt(after_first, "select v from t where id = 1")), 11)
       << "the older snapshot must keep reading the intermediate state";
-  EXPECT_EQ(ScalarInt(s1->ExecuteQuery("select v from t where id = 1")), 12);
+  EXPECT_EQ(ScalarInt(s1->Query("select v from t where id = 1")), 12);
 }
 
 // --- Anomaly 5: snapshot vs. checkpoint -----------------------------------
@@ -213,7 +213,7 @@ TEST_F(IsolationLitmusTest, SnapshotVsCheckpoint) {
       [&] { return manager->engine().Checkpoint(); }));
   EXPECT_EQ(manager->engine().db().VersionCount(), 0u)
       << "with no pins, the checkpoint must garbage-collect every version";
-  EXPECT_EQ(ScalarInt(session->ExecuteQuery("select v from t where id = 1")),
+  EXPECT_EQ(ScalarInt(session->Query("select v from t where id = 1")),
             3);
 }
 
@@ -351,7 +351,7 @@ TEST_F(IsolationLitmusTest, SnapshotVsRecovery) {
       ScalarInt(session->QueryAt(recovered, "select v from t where id = 1")),
       2)
       << "the pre-write snapshot must keep the recovered state";
-  EXPECT_EQ(ScalarInt(session->ExecuteQuery("select v from t where id = 1")),
+  EXPECT_EQ(ScalarInt(session->Query("select v from t where id = 1")),
             5);
 }
 
@@ -379,14 +379,14 @@ TEST_F(IsolationLitmusTest, RuleActionsRunAtWriteSideHead) {
   });
   s.WaitBlocked("rules.action.pre");
 
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select count(*) from src")), 0)
+  EXPECT_EQ(ScalarInt(reader->Query("select count(*) from src")), 0)
       << "snapshots must not see the uncommitted transition state";
 
   s.Release("rules.action.pre");
   ASSERT_OK(s.Join("writer"));
   // The rule counted all three uncommitted inserts: write-side head.
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select n from log")), 3);
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select count(*) from src")), 3);
+  EXPECT_EQ(ScalarInt(reader->Query("select n from log")), 3);
+  EXPECT_EQ(ScalarInt(reader->Query("select count(*) from src")), 3);
 }
 
 // --- Read-only classification (satellite fix) -----------------------------
@@ -409,7 +409,7 @@ TEST_F(IsolationLitmusTest, SelectOnlyScriptsRouteOutsideExclusiveSection) {
   EXPECT_EQ(session->commits(), commits_before + 1)
       << "a select-only script still counts as a committed (read-only) txn";
   EXPECT_EQ(session->last_receipt().commit_lsn, 0u);
-  EXPECT_EQ(ScalarInt(session->ExecuteQuery("select v from t where id = 1")),
+  EXPECT_EQ(ScalarInt(session->Query("select v from t where id = 1")),
             10);
   auto plan = session->Explain("select * from t where id = 1");
   EXPECT_TRUE(plan.ok()) << "explain is a read: " << plan.status();
@@ -427,7 +427,7 @@ TEST_F(IsolationLitmusTest, SelectOnlyScriptsRouteOutsideExclusiveSection) {
   // Regression: the mixed script really does execute once unblocked.
   ASSERT_OK(session->Execute("select * from t; "
                              "update t set v = 99 where id = 1"));
-  EXPECT_EQ(ScalarInt(session->ExecuteQuery("select v from t where id = 1")),
+  EXPECT_EQ(ScalarInt(session->Query("select v from t where id = 1")),
             99);
 }
 
@@ -521,10 +521,10 @@ TEST_F(IsolationLitmusTest, DisjointRowWritersOverlapEndToEnd) {
 
   // Committed-state expected table while T1 is still parked: T2's write
   // is visible, T1's is not.
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select bal from accts "
+  EXPECT_EQ(ScalarInt(reader->Query("select bal from accts "
                                            "where id = 2")),
             20);
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select bal from accts "
+  EXPECT_EQ(ScalarInt(reader->Query("select bal from accts "
                                            "where id = 1")),
             0);
 
@@ -532,10 +532,10 @@ TEST_F(IsolationLitmusTest, DisjointRowWritersOverlapEndToEnd) {
   ASSERT_OK(s.Join("t1"));
   const uint64_t t1_lsn = t1->last_receipt().commit_lsn;
   EXPECT_GT(t1_lsn, t2_lsn) << "T2 committed first while T1 was open";
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select bal from accts "
+  EXPECT_EQ(ScalarInt(reader->Query("select bal from accts "
                                            "where id = 1")),
             10);
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery("select count(*) from marker")),
+  EXPECT_EQ(ScalarInt(reader->Query("select count(*) from marker")),
             1);
 }
 
@@ -576,7 +576,7 @@ TEST_F(IsolationLitmusTest, SameRowConflictBlocksThenProceeds) {
   s.Release("lock.wait.accts");
   ASSERT_OK(s.Join("t2"));
 
-  EXPECT_EQ(ScalarInt(t1->ExecuteQuery("select bal from accts where id = 1")),
+  EXPECT_EQ(ScalarInt(t1->Query("select bal from accts where id = 1")),
             3)
       << "T2 must read T1's committed value under the lock (no lost update)";
   EXPECT_LT(t1->last_receipt().commit_lsn, t2->last_receipt().commit_lsn)
@@ -642,8 +642,8 @@ TEST_F(IsolationLitmusTest, DeadlockAbortsExactlyOneVictim) {
   EXPECT_EQ(lm->deadlocks(), 1u) << "exactly one victim";
 
   // The victim's first update (a.v = 10) must be structurally undone.
-  EXPECT_EQ(ScalarInt(t2->ExecuteQuery("select v from a where id = 1")), 20);
-  EXPECT_EQ(ScalarInt(t2->ExecuteQuery("select v from b where id = 1")), 20);
+  EXPECT_EQ(ScalarInt(t2->Query("select v from a where id = 1")), 20);
+  EXPECT_EQ(ScalarInt(t2->Query("select v from b where id = 1")), 20);
   EXPECT_GT(t2->last_receipt().commit_lsn, 0u);
   ASSERT_OK(manager->engine().CheckInvariants());
 }
@@ -732,8 +732,8 @@ TEST_F(IsolationLitmusTest, RuleActionWritesInheritTransactionLocks) {
   s.Release("lock.wait.audit");
   ASSERT_OK(s.Join("t2"));
 
-  EXPECT_EQ(ScalarInt(t1->ExecuteQuery("select count(*) from audit")), 1);
-  EXPECT_EQ(ScalarInt(t1->ExecuteQuery("select n from audit")), 11)
+  EXPECT_EQ(ScalarInt(t1->Query("select count(*) from audit")), 1);
+  EXPECT_EQ(ScalarInt(t1->Query("select n from audit")), 11)
       << "T2 must update the row T1's rule action wrote and committed";
   EXPECT_LT(t1->last_receipt().commit_lsn, t2->last_receipt().commit_lsn);
 }

@@ -171,11 +171,11 @@ TEST(LockPropertyTest, InterleavedWritersMatchSerialReplayInCommitLsnOrder) {
 
   // Definition 2.1 across interleaved fixpoints: one rule firing per
   // committed block, never per statement, never for a victim.
-  EXPECT_EQ(ScalarInt(setup->ExecuteQuery("select n from stats")),
+  EXPECT_EQ(ScalarInt(setup->Query("select n from stats")),
             static_cast<int64_t>(committed.size()));
   int64_t expected_sum = 0;
   for (const Committed& txn : committed) expected_sum += txn.delta;
-  EXPECT_EQ(ScalarInt(setup->ExecuteQuery("select sum(bal) from accts")),
+  EXPECT_EQ(ScalarInt(setup->Query("select sum(bal) from accts")),
             expected_sum);
 
   // The oracle: a serial engine replaying exactly the committed blocks in
@@ -228,7 +228,7 @@ TEST(LockPropertyTest, HotRowChainStaysBoundedUnderPinnedReader) {
                   0);
       }
     }
-    EXPECT_EQ(ScalarInt(writer->ExecuteQuery("select v from t where id = 1")),
+    EXPECT_EQ(ScalarInt(writer->Query("select v from t where id = 1")),
               kUpdates);
     // The bound: one version covering the pin plus the freshest
     // superseded one (its end-LSN is the head, which the floor only

@@ -120,10 +120,10 @@ TEST(OverloadLitmus, WaiterLockTimeoutRollsBackWaiterExactly) {
   s.Release("rules.commit.pre");
   ASSERT_OK(s.Join("holder"));
   f.ExpectClean();
-  EXPECT_EQ(ScalarInt(f.setup->ExecuteQuery(
+  EXPECT_EQ(ScalarInt(f.setup->Query(
                 "select bal from accts where id = 1")),
             101);
-  EXPECT_EQ(ScalarInt(f.setup->ExecuteQuery(
+  EXPECT_EQ(ScalarInt(f.setup->Query(
                 "select bal from accts where id = 2")),
             200);
 }
@@ -173,10 +173,10 @@ TEST(OverloadLitmus, SessionCancelKillsParkedHolderAndWaiterProceeds) {
 
   // Exactly the waiter's effect (and its rule firing) on top of the
   // pre-state; the killed holder's update vanished whole.
-  EXPECT_EQ(ScalarInt(f.setup->ExecuteQuery(
+  EXPECT_EQ(ScalarInt(f.setup->Query(
                 "select bal from accts where id = 1")),
             110);
-  EXPECT_EQ(ScalarInt(f.setup->ExecuteQuery("select n from stats")), 1);
+  EXPECT_EQ(ScalarInt(f.setup->Query("select n from stats")), 1);
   f.ExpectClean();
 
   // The killed session refuses further statements until revived.
@@ -225,7 +225,7 @@ TEST(OverloadLitmus, SessionCancelDeliveredInsideLockWait) {
   s.Release("rules.commit.pre");
   ASSERT_OK(s.Join("holder"));
   f.ExpectClean();
-  EXPECT_EQ(ScalarInt(f.setup->ExecuteQuery(
+  EXPECT_EQ(ScalarInt(f.setup->Query(
                 "select bal from accts where id = 1")),
             101);
 }
@@ -288,7 +288,7 @@ TEST(OverloadLitmus, AdmissionShedsWritersWhileReadsKeepServing) {
 
   // Reads bypass writer admission entirely.
   ASSERT_OK_AND_ASSIGN(server::Session * reader, f.manager->CreateSession());
-  EXPECT_EQ(ScalarInt(reader->ExecuteQuery(
+  EXPECT_EQ(ScalarInt(reader->Query(
                 "select bal from accts where id = 2")),
             200);
 
@@ -390,7 +390,7 @@ TEST(OverloadLitmus, SecondStatementOnBusySessionIsRefused) {
   EXPECT_EQ(t1->inflight_statements(), 1u);
   Status refused = t1->Execute("update accts set bal = 0 where id = 2");
   EXPECT_EQ(refused.code(), StatusCode::kOverloaded) << refused;
-  Result<QueryResult> read_refused = t1->ExecuteQuery("select * from accts");
+  Result<QueryResult> read_refused = t1->Query("select * from accts");
   EXPECT_EQ(read_refused.status().code(), StatusCode::kOverloaded);
 
   s.Release("rules.commit.pre");
@@ -473,7 +473,7 @@ TEST(OverloadLitmus, SessionCancelAtHashJoinBuildRollsBackExactly) {
   // join rule writing its audit rows.
   t1->ResetCancel();
   ASSERT_OK(t1->Execute("update accts set bal = bal + 1 where id = 1"));
-  EXPECT_EQ(ScalarInt(f.setup->ExecuteQuery("select count(*) from audit")),
+  EXPECT_EQ(ScalarInt(f.setup->Query("select count(*) from audit")),
             1);
 }
 
@@ -508,7 +508,7 @@ TEST(OverloadLitmus, SessionCancelAtBatchBoundaryRollsBackExactly) {
 
   t1->ResetCancel();
   ASSERT_OK(t1->Execute("insert into accts values (7, 700)"));
-  EXPECT_EQ(ScalarInt(f.setup->ExecuteQuery("select bal from audit")), 1);
+  EXPECT_EQ(ScalarInt(f.setup->Query("select bal from audit")), 1);
 }
 
 }  // namespace

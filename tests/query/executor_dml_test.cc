@@ -174,5 +174,84 @@ TEST_F(DmlTest, DeleteUsesThreeValuedLogic) {
   EXPECT_EQ(EmpSize(), 1u);
 }
 
+// --- DML whose subquery reads its own target table ------------------------
+// The subquery is evaluated against the pre-statement state for every
+// target row: a row the statement has already deleted or updated is still
+// seen by the subquery. (Re-evaluating against the changing table would
+// give different answers on each case below.)
+
+class SelfReadingDmlTest : public DmlTest {
+ protected:
+  void SetUp() override {
+    DmlTest::SetUp();
+    ASSERT_OK(db_.CreateTable(
+        TableSchema("t", {{"a", ValueType::kInt}, {"b", ValueType::kInt}})));
+    Run("insert into t values (1, 10), (2, null), (3, 1), (5, 3)");
+  }
+
+  std::vector<std::string> Rows() {
+    DatabaseResolver resolver(&db_);
+    Executor executor(&db_, &resolver);
+    auto stmt = Parser::ParseStatement("select a, b from t order by a");
+    EXPECT_TRUE(stmt.ok()) << stmt.status();
+    auto result =
+        executor.ExecuteSelect(static_cast<const SelectStmt&>(*stmt.value()));
+    EXPECT_TRUE(result.ok()) << result.status();
+    std::vector<std::string> rows;
+    if (!result.ok()) return rows;
+    for (const Row& row : result.value().rows) {
+      rows.push_back(row.at(0).ToString() + "," + row.at(1).ToString());
+    }
+    return rows;
+  }
+};
+
+TEST_F(SelfReadingDmlTest, DeleteInSubqueryOverTargetSeesPreStatementSet) {
+  // {a + 1} = {2, 3, 4, 6}: rows 2 and 3 go. Had row 2's delete been
+  // visible, row 3 would have stayed.
+  DmlEffect e = Run("delete from t where a in (select a + 1 from t)");
+  EXPECT_EQ(e.deleted.size(), 2u);
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"1,10", "5,3"}));
+}
+
+TEST_F(SelfReadingDmlTest, UpdateWhereInMaxOfTarget) {
+  DmlEffect e =
+      Run("update t set b = b + 1 where a in (select max(a) from t)");
+  EXPECT_EQ(e.updated.size(), 1u);
+  EXPECT_EQ(Rows(),
+            (std::vector<std::string>{"1,10", "2,NULL", "3,1", "5,4"}));
+}
+
+TEST_F(SelfReadingDmlTest, UpdateOfTheSubqueryColumnSeesPreStatementSet) {
+  // a + 1 in {1, 2, 3, 5}: rows 1 and 2 move up by one. Had row 1's new
+  // value been visible, the set would have changed under row 2.
+  DmlEffect e = Run("update t set a = a + 1 where a + 1 in (select a from t)");
+  EXPECT_EQ(e.updated.size(), 2u);
+  EXPECT_EQ(Rows(),
+            (std::vector<std::string>{"2,10", "3,NULL", "3,1", "5,3"}));
+}
+
+TEST_F(SelfReadingDmlTest, NotInOverASetWithNullMatchesNothing) {
+  // {b} = {10, NULL, 1, 3}: `a not in` is FALSE or UNKNOWN for every row.
+  EXPECT_EQ(Run("update t set b = 0 where a not in (select b from t)")
+                .updated.size(),
+            0u);
+  EXPECT_EQ(Run("delete from t where a not in (select b from t)")
+                .deleted.size(),
+            0u);
+  EXPECT_EQ(Rows(),
+            (std::vector<std::string>{"1,10", "2,NULL", "3,1", "5,3"}));
+}
+
+TEST_F(SelfReadingDmlTest, DeletingTheNullRowDoesNotUnblockNotIn) {
+  // Only the NULL row goes: for a = 5 the predicate is FALSE OR UNKNOWN.
+  // Had the NULL row's delete been visible, `5 not in {10, 1, 3}` would
+  // have been TRUE and row 5 would have gone too.
+  DmlEffect e =
+      Run("delete from t where b is null or a not in (select b from t)");
+  EXPECT_EQ(e.deleted.size(), 1u);
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"1,10", "3,1", "5,3"}));
+}
+
 }  // namespace
 }  // namespace sopr

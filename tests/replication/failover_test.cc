@@ -531,6 +531,9 @@ TEST_F(FailoverTest, PromotionFencesAgainstALivePrimary) {
             StatusCode::kUnavailable);
   Result<PollResult> poll = follower->PollOnce();
   EXPECT_FALSE(poll.ok());
+  // The pin lives in the promoted engine's snapshot registry, so it is
+  // dropped while that engine is alive (see Follower::Promote).
+  pinned = Follower::Snapshot();
 }
 
 }  // namespace

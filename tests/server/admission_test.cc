@@ -197,7 +197,7 @@ TEST(SessionManagerOverloadTest, InspectReportsPerSessionCounters) {
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_OK(a.value()->Execute("create table t (v int)"));
   ASSERT_OK(a.value()->Execute("insert into t values (1)"));
-  EXPECT_TRUE(b.value()->ExecuteQuery("select * from t").ok());
+  EXPECT_TRUE(b.value()->Query("select * from t").ok());
   b.value()->Cancel("inspect should see this");
 
   const auto snap = manager.Inspect();

@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "concurrency/schedule.h"
 #include "server/session_manager.h"
 #include "test_util.h"
 #include "wal/wal_writer.h"
@@ -256,6 +258,130 @@ TEST_F(SessionManagerTest, FatalAfterPoisonFailsFastButStillReads) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   ASSERT_OK_AND_ASSIGN(Session * r, reopened.value()->CreateSession());
   EXPECT_EQ(ScalarInt(r, "select count(*) from emp"), 1);
+}
+
+// --- Execute is a pipeline of one ------------------------------------------
+// A single script must give the same outcome — status, per-session
+// counters, receipt — through Execute and through ExecutePipelined.
+
+struct EntryOutcome {
+  StatusCode code = StatusCode::kOk;
+  std::string message;
+  uint64_t commits = 0;
+  uint64_t aborts = 0;
+  uint64_t statements = 0;
+  CommitReceipt receipt;
+  uint64_t setup_lsn = 0;  // last_receipt().commit_lsn before the script
+};
+
+struct EntryCase {
+  const char* name;
+  const char* script;
+  enum class Before { kNothing, kKill, kBusy } before;
+  StatusCode expected;
+  bool commits;  // the script commits a new write transaction
+};
+
+enum class Entry { kExecute, kPipelined };
+
+EntryOutcome RunEntryCase(const EntryCase& c, Entry entry) {
+  RuleEngineOptions options;
+  options.wal_dir = MakeTempDir();
+  options.wal_fsync = WalFsyncPolicy::kOff;
+  EntryOutcome out;
+  {
+    auto opened = SessionManager::Open(options);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    if (!opened.ok()) return out;
+    std::unique_ptr<SessionManager> manager = std::move(opened).value();
+    auto created = manager->CreateSession();
+    EXPECT_TRUE(created.ok()) << created.status();
+    if (!created.ok()) return out;
+    Session* s = created.value();
+    for (const char* sql :
+         {"create table emp (id int, salary double)",
+          "create rule positive when inserted into emp "
+          "if exists (select * from inserted emp where salary < 0) "
+          "then rollback",
+          "insert into emp values (1, 10)"}) {
+      EXPECT_OK(s->Execute(sql));
+    }
+    out.setup_lsn = s->last_receipt().commit_lsn;
+
+    auto run = [&] {
+      return entry == Entry::kExecute
+                 ? s->Execute(c.script)
+                 : s->ExecutePipelined({c.script})[0].status;
+    };
+    Status st;
+    switch (c.before) {
+      case EntryCase::Before::kNothing:
+        st = run();
+        break;
+      case EntryCase::Before::kKill:
+        s->Cancel("killed by the case table");
+        st = run();
+        break;
+      case EntryCase::Before::kBusy: {
+        // A statement parked in flight on the same session.
+        test::Schedule schedule;
+        schedule.BlockAt("rules.commit.pre");
+        schedule.Spawn("busy", [&] {
+          return s->Execute("insert into emp values (9, 90)");
+        });
+        schedule.WaitBlocked("rules.commit.pre");
+        st = run();
+        schedule.Release("rules.commit.pre");
+        EXPECT_OK(schedule.Join("busy"));
+        out.setup_lsn = s->last_receipt().commit_lsn;  // the busy commit
+        break;
+      }
+    }
+    out.code = st.code();
+    out.message = st.message();
+    out.commits = s->commits();
+    out.aborts = s->aborts();
+    out.statements = s->statements();
+    out.receipt = s->last_receipt();
+  }
+  std::filesystem::remove_all(options.wal_dir);
+  return out;
+}
+
+TEST_F(SessionManagerTest, ExecuteMatchesAPipelineOfOne) {
+  using Before = EntryCase::Before;
+  const EntryCase cases[] = {
+      {"dml commit", "insert into emp values (2, 20); update emp set "
+       "salary = salary + 1", Before::kNothing, StatusCode::kOk, true},
+      {"rule rollback", "insert into emp values (3, -5)", Before::kNothing,
+       StatusCode::kRolledBack, false},
+      {"ddl", "create table t2 (x int)", Before::kNothing, StatusCode::kOk,
+       false},
+      {"mixed ddl/dml", "insert into emp values (4, 40); create table t3 "
+       "(x int)", Before::kNothing, StatusCode::kInvalidArgument, false},
+      {"parse error", "insert into emp valuez (5, 50)", Before::kNothing,
+       StatusCode::kParseError, false},
+      {"read-only script", "select * from emp; select count(*) from emp",
+       Before::kNothing, StatusCode::kOk, false},
+      {"killed session", "insert into emp values (6, 60)", Before::kKill,
+       StatusCode::kCancelled, false},
+      {"second in-flight statement", "insert into emp values (7, 70)",
+       Before::kBusy, StatusCode::kOverloaded, false},
+  };
+  for (const EntryCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const EntryOutcome a = RunEntryCase(c, Entry::kExecute);
+    const EntryOutcome b = RunEntryCase(c, Entry::kPipelined);
+    EXPECT_EQ(a.code, c.expected) << a.message;
+    EXPECT_EQ(a.receipt.commit_lsn > a.setup_lsn, c.commits);
+    EXPECT_EQ(a.code, b.code);
+    EXPECT_EQ(a.message, b.message);
+    EXPECT_EQ(a.commits, b.commits);
+    EXPECT_EQ(a.aborts, b.aborts);
+    EXPECT_EQ(a.statements, b.statements);
+    EXPECT_EQ(a.receipt.commit_lsn, b.receipt.commit_lsn);
+    EXPECT_EQ(a.receipt.first_handle, b.receipt.first_handle);
+  }
 }
 
 }  // namespace
