@@ -62,8 +62,8 @@ void BM_ImportNoRules(benchmark::State& state) {
 void BM_ImportWithRules(benchmark::State& state) {
   RunImport(state, true, static_cast<size_t>(state.range(0)));
 }
-BENCHMARK(BM_ImportNoRules)->Arg(16)->Arg(256)->Arg(2048);
-BENCHMARK(BM_ImportWithRules)->Arg(16)->Arg(256)->Arg(2048);
+SOPR_BENCHMARK(BM_ImportNoRules)->Arg(16)->Arg(256)->Arg(2048);
+SOPR_BENCHMARK(BM_ImportWithRules)->Arg(16)->Arg(256)->Arg(2048);
 
 void BM_ExportCsv(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
@@ -77,9 +77,9 @@ void BM_ExportCsv(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_ExportCsv)->Arg(256)->Arg(2048);
+SOPR_BENCHMARK(BM_ExportCsv)->Arg(256)->Arg(2048);
 
 }  // namespace
 }  // namespace sopr
 
-BENCHMARK_MAIN();
+SOPR_BENCHMARK_MAIN()

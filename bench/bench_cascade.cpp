@@ -65,7 +65,7 @@ void BM_CascadeDepth(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * depth);
 }
-BENCHMARK(BM_CascadeDepth)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(128);
+SOPR_BENCHMARK(BM_CascadeDepth)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(128);
 
 /// Wide-fanout variant: one root manages F departments of one employee
 /// each — a single rule firing handles all F children (set-orientation
@@ -112,9 +112,9 @@ void BM_CascadeFanout(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fanout);
 }
-BENCHMARK(BM_CascadeFanout)->Arg(4)->Arg(32)->Arg(128);
+SOPR_BENCHMARK(BM_CascadeFanout)->Arg(4)->Arg(32)->Arg(128);
 
 }  // namespace
 }  // namespace sopr
 
-BENCHMARK_MAIN();
+SOPR_BENCHMARK_MAIN()

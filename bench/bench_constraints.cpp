@@ -59,7 +59,7 @@ void BM_InsertNoConstraints(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_InsertNoConstraints)->Arg(16)->Arg(256);
+SOPR_BENCHMARK(BM_InsertNoConstraints)->Arg(16)->Arg(256);
 
 void BM_InsertWithCompiledConstraints(benchmark::State& state) {
   const int parents = static_cast<int>(state.range(0));
@@ -75,7 +75,7 @@ void BM_InsertWithCompiledConstraints(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_InsertWithCompiledConstraints)->Arg(16)->Arg(256);
+SOPR_BENCHMARK(BM_InsertWithCompiledConstraints)->Arg(16)->Arg(256);
 
 void BM_ViolationRollbackPath(benchmark::State& state) {
   // Cost of a rejected insert: rule evaluation + transaction undo.
@@ -91,7 +91,7 @@ void BM_ViolationRollbackPath(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ViolationRollbackPath)->Arg(16)->Arg(256);
+SOPR_BENCHMARK(BM_ViolationRollbackPath)->Arg(16)->Arg(256);
 
 void BM_CascadeViaCompiledRule(benchmark::State& state) {
   // Delete one parent with `children` children under a compiled cascade.
@@ -119,9 +119,9 @@ void BM_CascadeViaCompiledRule(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * children);
 }
-BENCHMARK(BM_CascadeViaCompiledRule)->Arg(16)->Arg(256);
+SOPR_BENCHMARK(BM_CascadeViaCompiledRule)->Arg(16)->Arg(256);
 
 }  // namespace
 }  // namespace sopr
 
-BENCHMARK_MAIN();
+SOPR_BENCHMARK_MAIN()

@@ -5,22 +5,23 @@
 // whole commit (apply + write + fsync), i.e. fsyncs never overlap
 // anything — the classic serial commit path.
 //
-// Custom main (not google-benchmark): each configuration is one timed
-// run against a fresh WAL directory, and the results are written to
-// BENCH_group_commit.json for the CI trend tracker.
+// Custom main (not google-benchmark): each repetition runs every
+// configuration once against a fresh WAL directory, group and serial in
+// alternating order, and BenchReport writes the median/min/max of each
+// configuration to BENCH_group_commit.json.
 //
 // Run: ./build/bench/bench_group_commit [txns-per-config]
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <chrono>
-#include <fstream>
-#include <iostream>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "engine/engine.h"
 #include "server/session_manager.h"
 #include "wal/wal_writer.h"
@@ -28,50 +29,25 @@
 namespace sopr {
 namespace {
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/sopr_bench_group_commit_XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  if (dir == nullptr) {
-    std::cerr << "mkdtemp failed\n";
-    std::exit(1);
-  }
-  return dir;
-}
-
-void Check(const Status& status, const char* what) {
-  if (!status.ok()) {
-    std::cerr << what << ": " << status << "\n";
-    std::exit(1);
-  }
-}
-
-struct RunResult {
-  std::string mode;    // "group" | "serial"
-  std::string policy;  // "commit" | "off"
-  int threads = 0;
-  int commits = 0;
-  double seconds = 0;
-  double commits_per_sec = 0;
-  uint64_t cohorts = 0;
-  uint64_t largest_cohort = 0;
-};
-
 std::string InsertBlock(int thread, int step) {
   return "insert into t values (" + std::to_string(thread * 1000000 + step) +
          ", " + std::to_string(step % 97) + ")";
 }
 
 /// Group mode: the session front-end's two-phase pipeline (exclusive
-/// apply, lock-free durability wait -> fsync cohorts).
-RunResult RunGroup(WalFsyncPolicy policy, int threads, int total_txns) {
+/// apply, lock-free durability wait -> fsync cohorts). Records commits/s
+/// and the cohort counts under `prefix`.
+void RunGroup(WalFsyncPolicy policy, int threads, int total_txns,
+              const std::string& prefix, BenchReport* report) {
+  TempDir dir("group_commit");
   RuleEngineOptions options;
-  options.wal_dir = MakeTempDir();
+  options.wal_dir = dir.path();
   options.wal_fsync = policy;
   auto manager = server::SessionManager::Open(options);
-  Check(manager.status(), "open");
+  BenchCheck(manager.status(), "open");
   auto setup = manager.value()->CreateSession();
-  Check(setup.status(), "session");
-  Check(setup.value()->Execute("create table t (id int, v int)"), "ddl");
+  BenchCheck(setup.status(), "session");
+  BenchCheck(setup.value()->Execute("create table t (id int, v int)"), "ddl");
 
   const int per_thread = total_txns / threads;
   const auto start = std::chrono::steady_clock::now();
@@ -79,9 +55,9 @@ RunResult RunGroup(WalFsyncPolicy policy, int threads, int total_txns) {
   for (int i = 0; i < threads; ++i) {
     workers.emplace_back([&, i] {
       auto session = manager.value()->CreateSession();
-      Check(session.status(), "worker session");
+      BenchCheck(session.status(), "worker session");
       for (int j = 0; j < per_thread; ++j) {
-        Check(session.value()->Execute(InsertBlock(i, j)), "insert");
+        BenchCheck(session.value()->Execute(InsertBlock(i, j)), "insert");
       }
     });
   }
@@ -90,30 +66,25 @@ RunResult RunGroup(WalFsyncPolicy policy, int threads, int total_txns) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  RunResult r;
-  r.mode = "group";
-  r.policy = policy == WalFsyncPolicy::kCommit ? "commit" : "off";
-  r.threads = threads;
-  r.commits = per_thread * threads;
-  r.seconds = secs;
-  r.commits_per_sec = r.commits / secs;
   const wal::GroupCommitStats stats =
       manager.value()->engine().wal()->group_stats();
-  r.cohorts = stats.cohorts;
-  r.largest_cohort = stats.largest_cohort;
-  return r;
+  report->Add(prefix + "group.commits_per_sec", per_thread * threads / secs);
+  report->Add(prefix + "group.cohorts", stats.cohorts);
+  report->Add(prefix + "group.largest_cohort", stats.largest_cohort);
 }
 
 /// Serial baseline: same engine, same WAL, but one global mutex held
 /// across apply AND fsync — every commit pays its own fsync and nothing
 /// overlaps it.
-RunResult RunSerial(WalFsyncPolicy policy, int threads, int total_txns) {
+void RunSerial(WalFsyncPolicy policy, int threads, int total_txns,
+               const std::string& prefix, BenchReport* report) {
+  TempDir dir("group_commit");
   RuleEngineOptions options;
-  options.wal_dir = MakeTempDir();
+  options.wal_dir = dir.path();
   options.wal_fsync = policy;
   auto engine = Engine::Open(options);
-  Check(engine.status(), "open");
-  Check(engine.value()->Execute("create table t (id int, v int)"), "ddl");
+  BenchCheck(engine.status(), "open");
+  BenchCheck(engine.value()->Execute("create table t (id int, v int)"), "ddl");
 
   std::mutex global;
   const int per_thread = total_txns / threads;
@@ -123,7 +94,7 @@ RunResult RunSerial(WalFsyncPolicy policy, int threads, int total_txns) {
     workers.emplace_back([&, i] {
       for (int j = 0; j < per_thread; ++j) {
         std::lock_guard<std::mutex> lock(global);
-        Check(engine.value()->Execute(InsertBlock(i, j)), "insert");
+        BenchCheck(engine.value()->Execute(InsertBlock(i, j)), "insert");
       }
     });
   }
@@ -132,14 +103,7 @@ RunResult RunSerial(WalFsyncPolicy policy, int threads, int total_txns) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  RunResult r;
-  r.mode = "serial";
-  r.policy = policy == WalFsyncPolicy::kCommit ? "commit" : "off";
-  r.threads = threads;
-  r.commits = per_thread * threads;
-  r.seconds = secs;
-  r.commits_per_sec = r.commits / secs;
-  return r;
+  report->Add(prefix + "serial.commits_per_sec", per_thread * threads / secs);
 }
 
 }  // namespace
@@ -151,45 +115,46 @@ int main(int argc, char** argv) {
   ::unsetenv("SOPR_WAL_FSYNC");
   const int total = argc > 1 ? std::atoi(argv[1]) : 400;
 
-  std::vector<sopr::RunResult> results;
-  double group4 = 0, serial4 = 0;
-  for (sopr::WalFsyncPolicy policy :
-       {sopr::WalFsyncPolicy::kCommit, sopr::WalFsyncPolicy::kOff}) {
-    for (int threads : {1, 2, 4, 8}) {
-      sopr::RunResult group = sopr::RunGroup(policy, threads, total);
-      sopr::RunResult serial = sopr::RunSerial(policy, threads, total);
-      results.push_back(group);
-      results.push_back(serial);
-      std::printf(
-          "policy=%-6s threads=%d  group %8.0f c/s (%llu cohorts, max %llu)"
-          "  serial %8.0f c/s  ratio %.2fx\n",
-          group.policy.c_str(), threads, group.commits_per_sec,
-          static_cast<unsigned long long>(group.cohorts),
-          static_cast<unsigned long long>(group.largest_cohort),
-          serial.commits_per_sec,
-          group.commits_per_sec / serial.commits_per_sec);
-      if (policy == sopr::WalFsyncPolicy::kCommit && threads == 4) {
-        group4 = group.commits_per_sec;
-        serial4 = serial.commits_per_sec;
+  const std::pair<const char*, sopr::WalFsyncPolicy> policies[] = {
+      {"commit", sopr::WalFsyncPolicy::kCommit},
+      {"off", sopr::WalFsyncPolicy::kOff}};
+  const auto prefix = [](const char* policy, int threads) {
+    return std::string(policy) + ".t" + std::to_string(threads) + ".";
+  };
+
+  sopr::BenchReport report("group_commit", /*threads=*/8);
+  report.Set("txns_per_config", total);
+  report.Run([&](int rep) {
+    for (const auto& [name, policy] : policies) {
+      for (int threads : {1, 2, 4, 8}) {
+        sopr::Alternate(rep, 2, [&](int mode) {
+          if (mode == 0) {
+            sopr::RunGroup(policy, threads, total, prefix(name, threads),
+                           &report);
+          } else {
+            sopr::RunSerial(policy, threads, total, prefix(name, threads),
+                            &report);
+          }
+        });
       }
     }
-  }
+  });
 
-  std::ofstream json("BENCH_group_commit.json");
-  json << "{\n  \"bench\": \"group_commit\",\n  \"runs\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const sopr::RunResult& r = results[i];
-    json << "    {\"mode\": \"" << r.mode << "\", \"policy\": \"" << r.policy
-         << "\", \"threads\": " << r.threads << ", \"commits\": " << r.commits
-         << ", \"seconds\": " << r.seconds
-         << ", \"commits_per_sec\": " << r.commits_per_sec
-         << ", \"cohorts\": " << r.cohorts
-         << ", \"largest_cohort\": " << r.largest_cohort << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
+  for (const auto& [name, policy] : policies) {
+    for (int threads : {1, 2, 4, 8}) {
+      const std::string p = prefix(name, threads);
+      const double group = report.Get(p + "group.commits_per_sec").median;
+      const double serial = report.Get(p + "serial.commits_per_sec").median;
+      std::printf("policy=%-6s threads=%d  group %8.0f c/s  serial %8.0f c/s"
+                  "  ratio %.2fx (medians)\n",
+                  name, threads, group, serial,
+                  serial > 0 ? group / serial : 0);
+    }
   }
-  json << "  ],\n  \"speedup_group_vs_serial_at_4_threads_commit\": "
-       << (serial4 > 0 ? group4 / serial4 : 0) << "\n}\n";
-  std::cout << "wrote BENCH_group_commit.json (4-thread kCommit speedup "
-            << (serial4 > 0 ? group4 / serial4 : 0) << "x)\n";
+  const double group4 = report.Get("commit.t4.group.commits_per_sec").median;
+  const double serial4 = report.Get("commit.t4.serial.commits_per_sec").median;
+  report.Set("speedup_group_vs_serial_at_4_threads_commit",
+             serial4 > 0 ? group4 / serial4 : 0);
+  report.Write();
   return 0;
 }

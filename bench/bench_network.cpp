@@ -32,7 +32,9 @@
 // in-process BENCH_overload.json story (~70%+), now demonstrated
 // through the protocol.
 //
-// Custom main; emits BENCH_network.json.
+// Custom main: each repetition runs the three phases against a fresh
+// server, with the phase-1 modes in alternating order; BenchReport
+// writes the median/min/max of each figure to BENCH_network.json.
 // Run: ./build/bench/bench_network [seconds-per-window] [connections]
 
 #include <algorithm>
@@ -40,14 +42,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "engine/engine.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -58,36 +59,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/sopr_bench_network_XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  if (dir == nullptr) {
-    std::cerr << "mkdtemp failed\n";
-    std::exit(1);
-  }
-  return dir;
-}
-
-void Check(const Status& status, const char* what) {
-  if (!status.ok()) {
-    std::cerr << what << ": " << status << "\n";
-    std::exit(1);
-  }
-}
-
 constexpr int kPipelineClients = 4;  // closed-loop connections, phase 1
 constexpr int kBurst = 16;           // pipelined frames per burst
 constexpr int kDrivers = 4;          // open-loop driver threads, phases 2+3
+constexpr int kServerWorkers = 4;    // the server's worker pool
 constexpr int kHeavyRows = 256;      // rows per phase-3 hot table
 constexpr int kHeavyUpdates = 4;     // statements per heavy block
 constexpr double kOverloadFactor = 4.0;
-
-double PercentileMs(std::vector<double>* samples, double p) {
-  if (samples->empty()) return 0;
-  std::sort(samples->begin(), samples->end());
-  const size_t idx = static_cast<size_t>(p * (samples->size() - 1));
-  return (*samples)[idx];
-}
 
 std::atomic<uint64_t> g_next_id{0};
 
@@ -113,26 +91,29 @@ std::string MakeHeavyBlock(int driver) {
 }
 
 struct TestServer {
+  std::unique_ptr<TempDir> dir;  // destroyed after the server using it
   std::unique_ptr<server::SessionManager> manager;
   std::unique_ptr<net::Server> server;
   uint16_t port = 0;
 };
 
 TestServer StartServer() {
+  auto dir = std::make_unique<TempDir>("network");
   RuleEngineOptions options;
-  options.wal_dir = MakeTempDir();
+  options.wal_dir = dir->path();
   options.wal_fsync = WalFsyncPolicy::kOff;  // measure the wire, not fsync
   auto manager = server::SessionManager::Open(options);
-  Check(manager.status(), "open");
+  BenchCheck(manager.status(), "open");
   manager.value()->set_max_sessions(4096);  // room for the 1k+ pool
 
   auto setup = manager.value()->CreateSession();
-  Check(setup.status(), "setup session");
-  Check(setup.value()->Execute("create table t (id int, val int)"), "ddl");
+  BenchCheck(setup.status(), "setup session");
+  BenchCheck(setup.value()->Execute("create table t (id int, val int)"), "ddl");
   for (int d = 0; d < kDrivers; ++d) {
     const std::string table = "hot" + std::to_string(d);
-    Check(setup.value()->Execute("create table " + table + " (id int, val int)"),
-          "ddl");
+    BenchCheck(setup.value()->Execute("create table " + table +
+                                           " (id int, val int)"),
+                    "ddl");
     for (int i = 0; i < kHeavyRows; i += 32) {
       std::string block;
       for (int j = i; j < i + 32; ++j) {
@@ -140,16 +121,17 @@ TestServer StartServer() {
         block += "insert into " + table + " values (" + std::to_string(j) +
                  ", 0)";
       }
-      Check(setup.value()->Execute(block), "load");
+      BenchCheck(setup.value()->Execute(block), "load");
     }
   }
 
   net::Server::Options server_options;
-  server_options.workers = 4;
+  server_options.workers = kServerWorkers;
   auto server = net::Server::Start(manager.value().get(), server_options);
-  Check(server.status(), "server start");
+  BenchCheck(server.status(), "server start");
 
   TestServer ts;
+  ts.dir = std::move(dir);
   ts.manager = std::move(manager).value();
   ts.server = std::move(server).value();
   ts.port = ts.server->port();
@@ -161,18 +143,16 @@ std::unique_ptr<net::Client> Connect(uint16_t port, const char* name) {
   options.port = port;
   options.client_name = name;
   auto client = net::Client::Connect(options);
-  Check(client.status(), "connect");
+  BenchCheck(client.status(), "connect");
   return std::move(client).value();
 }
 
 struct PipelineResult {
-  std::string mode;  // "one_at_a_time" | "pipelined"
   double commits_per_sec = 0;
   double p99_ms = 0;  // per round-trip: one commit or one whole burst
   uint64_t cohorts = 0;
   uint64_t batches = 0;
   double mean_cohort = 0;  // batches / cohorts over this window
-  uint64_t largest_cohort = 0;
 };
 
 /// One phase-1 window: kPipelineClients closed-loop connections, either
@@ -182,7 +162,7 @@ PipelineResult RunPipelineWindow(uint16_t port, bool pipelined,
                                  double seconds) {
   auto stats_client = Connect(port, "bench-stats");
   auto before = stats_client->Stats();
-  Check(before.status(), "stats before");
+  BenchCheck(before.status(), "stats before");
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> commits{0};
@@ -202,12 +182,14 @@ PipelineResult RunPipelineWindow(uint16_t port, bool pipelined,
           scripts.reserve(kBurst);
           for (int i = 0; i < kBurst; ++i) scripts.push_back(MakeInsert());
           auto outcomes = client->ExecutePipelined(scripts);
-          Check(outcomes.status(), "pipelined burst");
-          for (const auto& o : outcomes.value()) Check(o.status, "burst script");
+          BenchCheck(outcomes.status(), "pipelined burst");
+          for (const auto& o : outcomes.value()) {
+            BenchCheck(o.status, "burst script");
+          }
           commits.fetch_add(kBurst, std::memory_order_relaxed);
         } else {
           auto lsn = client->Execute(MakeInsert());
-          Check(lsn.status(), "execute");
+          BenchCheck(lsn.status(), "execute");
           commits.fetch_add(1, std::memory_order_relaxed);
         }
         mine.push_back(
@@ -227,20 +209,18 @@ PipelineResult RunPipelineWindow(uint16_t port, bool pipelined,
       std::chrono::duration<double>(Clock::now() - start).count();
 
   auto after = stats_client->Stats();
-  Check(after.status(), "stats after");
+  BenchCheck(after.status(), "stats after");
   stats_client->Close();
 
   PipelineResult r;
-  r.mode = pipelined ? "pipelined" : "one_at_a_time";
   r.commits_per_sec = commits.load() / secs;
-  r.p99_ms = PercentileMs(&latencies, 0.99);
+  r.p99_ms = Percentile(&latencies, 0.99);
   r.cohorts = after.value().group_commit.cohorts -
               before.value().group_commit.cohorts;
   r.batches = after.value().group_commit.batches -
               before.value().group_commit.batches;
   r.mean_cohort =
       r.cohorts > 0 ? static_cast<double>(r.batches) / r.cohorts : 0;
-  r.largest_cohort = after.value().group_commit.largest_cohort;
   return r;
 }
 
@@ -313,7 +293,7 @@ ScaleResult RunScale(uint16_t port, std::vector<std::unique_ptr<net::Client>>* p
 
   auto stats_client = Connect(port, "bench-stats");
   auto stats = stats_client->Stats();
-  Check(stats.status(), "scale stats");
+  BenchCheck(stats.status(), "scale stats");
   stats_client->Close();
 
   ScaleResult r;
@@ -323,7 +303,7 @@ ScaleResult RunScale(uint16_t port, std::vector<std::unique_ptr<net::Client>>* p
   r.commits = commits.load();
   r.errors = errors.load();
   r.commits_per_sec = r.commits / secs;
-  r.p99_ms = PercentileMs(&latencies, 0.99);
+  r.p99_ms = Percentile(&latencies, 0.99);
   r.connections_active = stats.value().connections_active;
   return r;
 }
@@ -344,7 +324,7 @@ OverloadResult RunOverload(TestServer* ts,
       writers.emplace_back([&, w] {
         auto client = Connect(ts->port, "bench-heavy-peak");
         while (!stop.load(std::memory_order_relaxed)) {
-          Check(client->Execute(MakeHeavyBlock(w)).status(), "heavy peak");
+          BenchCheck(client->Execute(MakeHeavyBlock(w)).status(), "heavy peak");
           commits.fetch_add(1, std::memory_order_relaxed);
         }
         client->Close();
@@ -425,9 +405,85 @@ OverloadResult RunOverload(TestServer* ts,
   r.other_errors = other.load();
   r.goodput_per_sec = r.commits / secs;
   r.retention = r.peak_per_sec > 0 ? r.goodput_per_sec / r.peak_per_sec : 0;
-  r.p99_success_ms = PercentileMs(&success_lat, 0.99);
+  r.p99_success_ms = Percentile(&success_lat, 0.99);
   r.max_retry_hint_ms = max_hint.load();
   return r;
+}
+
+/// One repetition: the three phases against a fresh server.
+void RunOnce(int rep, double seconds, size_t connections,
+             BenchReport* report) {
+  TestServer ts = StartServer();
+
+  PipelineResult modes[2];
+  Alternate(rep, 2, [&](int pipelined) {
+    modes[pipelined] = RunPipelineWindow(ts.port, pipelined == 1, seconds);
+  });
+  for (int pipelined = 0; pipelined < 2; ++pipelined) {
+    const PipelineResult& r = modes[pipelined];
+    const std::string prefix =
+        pipelined == 1 ? "pipelined." : "one_at_a_time.";
+    std::printf(
+        "%-15s %8.0f commits/s  p99 %7.3fms/round-trip  cohorts=%llu "
+        "batches=%llu mean_cohort=%.2f\n",
+        prefix.c_str(), r.commits_per_sec, r.p99_ms,
+        static_cast<unsigned long long>(r.cohorts),
+        static_cast<unsigned long long>(r.batches), r.mean_cohort);
+    report->Add(prefix + "commits_per_sec", r.commits_per_sec);
+    report->Add(prefix + "p99_round_trip_ms", r.p99_ms);
+    report->Add(prefix + "cohorts", r.cohorts);
+    report->Add(prefix + "batches", r.batches);
+    report->Add(prefix + "mean_cohort", r.mean_cohort);
+  }
+
+  // The held-open pool: every connection is a live session in the
+  // server's epoll set for the rest of the repetition.
+  std::vector<std::unique_ptr<net::Client>> pool;
+  pool.reserve(connections);
+  for (size_t i = 0; i < connections; ++i) {
+    pool.push_back(Connect(ts.port, "bench-pool"));
+  }
+  const ScaleResult scale =
+      RunScale(ts.port, &pool, modes[0].commits_per_sec * 0.7, seconds);
+  std::printf(
+      "scale: %zu connections held open (server sees %llu active), offered "
+      "%.0f/s -> %8.0f commits/s  p99 %7.3fms  errors=%llu\n",
+      scale.connections,
+      static_cast<unsigned long long>(scale.connections_active),
+      scale.offered_per_sec, scale.commits_per_sec, scale.p99_ms,
+      static_cast<unsigned long long>(scale.errors));
+  report->Add("scale.connections_active", scale.connections_active);
+  report->Add("scale.offered_per_sec", scale.offered_per_sec);
+  report->Add("scale.offered", scale.offered);
+  report->Add("scale.commits", scale.commits);
+  report->Add("scale.errors", scale.errors);
+  report->Add("scale.commits_per_sec", scale.commits_per_sec);
+  report->Add("scale.p99_ms", scale.p99_ms);
+
+  const OverloadResult overload = RunOverload(&ts, &pool, seconds);
+  std::printf(
+      "overload: heavy peak %.0f/s, offered %.0f/s (%.0fx) -> goodput "
+      "%.0f/s (%.0f%% retained)  sheds=%llu  max_retry_hint=%ums  "
+      "p99(success) %.2fms  other_errors=%llu\n",
+      overload.peak_per_sec, overload.offered_per_sec, kOverloadFactor,
+      overload.goodput_per_sec, 100.0 * overload.retention,
+      static_cast<unsigned long long>(overload.sheds),
+      overload.max_retry_hint_ms, overload.p99_success_ms,
+      static_cast<unsigned long long>(overload.other_errors));
+  report->Add("overload.heavy_peak_per_sec", overload.peak_per_sec);
+  report->Add("overload.offered_per_sec", overload.offered_per_sec);
+  report->Add("overload.offered", overload.offered);
+  report->Add("overload.commits", overload.commits);
+  report->Add("overload.sheds", overload.sheds);
+  report->Add("overload.other_errors", overload.other_errors);
+  report->Add("overload.goodput_per_sec", overload.goodput_per_sec);
+  report->Add("overload.retention_vs_peak", overload.retention);
+  report->Add("overload.p99_success_ms", overload.p99_success_ms);
+  report->Add("overload.max_retry_hint_ms", overload.max_retry_hint_ms);
+
+  for (auto& client : pool) client->Abort();
+  pool.clear();
+  ts.server->Shutdown();
 }
 
 }  // namespace
@@ -439,103 +495,27 @@ int main(int argc, char** argv) {
   const size_t connections = argc > 2
                                  ? static_cast<size_t>(std::atoll(argv[2]))
                                  : 1024;
-  const unsigned cpus = std::thread::hardware_concurrency();
 
-  sopr::TestServer ts = sopr::StartServer();
-  std::printf("server on port %u (4 workers, %u cpu(s))\n", ts.port, cpus);
+  sopr::BenchReport report("network",
+                           sopr::kDrivers + sopr::kServerWorkers);
+  report.Set("workers", sopr::kServerWorkers);
+  report.Set("connections", static_cast<double>(connections));
+  report.Set("seconds_per_window", seconds);
+  report.Run([&](int rep) {
+    sopr::RunOnce(rep, seconds, connections, &report);
+  });
+  report.Write();
 
-  const sopr::PipelineResult single =
-      sopr::RunPipelineWindow(ts.port, /*pipelined=*/false, seconds);
-  const sopr::PipelineResult pipelined =
-      sopr::RunPipelineWindow(ts.port, /*pipelined=*/true, seconds);
-  for (const sopr::PipelineResult* r : {&single, &pipelined}) {
-    std::printf(
-        "%-14s %8.0f commits/s  p99 %7.3fms/round-trip  cohorts=%llu "
-        "batches=%llu mean_cohort=%.2f\n",
-        r->mode.c_str(), r->commits_per_sec, r->p99_ms,
-        static_cast<unsigned long long>(r->cohorts),
-        static_cast<unsigned long long>(r->batches), r->mean_cohort);
-  }
-
-  // The held-open pool: every connection is a live session in the
-  // server's epoll set for the rest of the run.
-  std::vector<std::unique_ptr<sopr::net::Client>> pool;
-  pool.reserve(connections);
-  for (size_t i = 0; i < connections; ++i) {
-    pool.push_back(sopr::Connect(ts.port, "bench-pool"));
-  }
-  const double scale_rate = single.commits_per_sec * 0.7;
-  const sopr::ScaleResult scale =
-      sopr::RunScale(ts.port, &pool, scale_rate, seconds);
-  std::printf(
-      "scale: %zu connections held open (server sees %llu active), offered "
-      "%.0f/s -> %8.0f commits/s  p99 %7.3fms  errors=%llu\n",
-      scale.connections,
-      static_cast<unsigned long long>(scale.connections_active),
-      scale.offered_per_sec, scale.commits_per_sec, scale.p99_ms,
-      static_cast<unsigned long long>(scale.errors));
-
-  const sopr::OverloadResult overload = sopr::RunOverload(&ts, &pool, seconds);
-  std::printf(
-      "overload: heavy peak %.0f/s, offered %.0f/s (%.0fx) -> goodput "
-      "%.0f/s (%.0f%% retained)  sheds=%llu  max_retry_hint=%ums  "
-      "p99(success) %.2fms  other_errors=%llu\n",
-      overload.peak_per_sec, overload.offered_per_sec, sopr::kOverloadFactor,
-      overload.goodput_per_sec, 100.0 * overload.retention,
-      static_cast<unsigned long long>(overload.sheds),
-      overload.max_retry_hint_ms, overload.p99_success_ms,
-      static_cast<unsigned long long>(overload.other_errors));
-
-  for (auto& client : pool) client->Abort();
-  pool.clear();
-  ts.server->Shutdown();
-
-  std::ofstream json("BENCH_network.json");
-  json << "{\n  \"bench\": \"network\",\n  \"cpus\": " << cpus
-       << ",\n  \"workers\": 4,\n  \"seconds_per_window\": " << seconds
-       << ",\n  \"pipeline\": [\n";
-  const sopr::PipelineResult* modes[] = {&single, &pipelined};
-  for (size_t i = 0; i < 2; ++i) {
-    const sopr::PipelineResult& r = *modes[i];
-    json << "    {\"mode\": \"" << r.mode
-         << "\", \"commits_per_sec\": " << r.commits_per_sec
-         << ", \"p99_round_trip_ms\": " << r.p99_ms
-         << ", \"cohorts\": " << r.cohorts << ", \"batches\": " << r.batches
-         << ", \"mean_cohort\": " << r.mean_cohort
-         << ", \"largest_cohort\": " << r.largest_cohort << "}"
-         << (i == 0 ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"scale\": {\"connections\": " << scale.connections
-       << ", \"connections_active\": " << scale.connections_active
-       << ", \"offered_per_sec\": " << scale.offered_per_sec
-       << ", \"offered\": " << scale.offered
-       << ", \"commits\": " << scale.commits
-       << ", \"errors\": " << scale.errors
-       << ", \"commits_per_sec\": " << scale.commits_per_sec
-       << ", \"p99_ms\": " << scale.p99_ms
-       << "},\n  \"overload\": {\"heavy_peak_per_sec\": "
-       << overload.peak_per_sec
-       << ", \"offered_per_sec\": " << overload.offered_per_sec
-       << ", \"offered\": " << overload.offered
-       << ", \"commits\": " << overload.commits
-       << ", \"sheds\": " << overload.sheds
-       << ", \"other_errors\": " << overload.other_errors
-       << ", \"goodput_per_sec\": " << overload.goodput_per_sec
-       << ", \"retention_vs_peak\": " << overload.retention
-       << ", \"p99_success_ms\": " << overload.p99_success_ms
-       << ", \"max_retry_hint_ms\": " << overload.max_retry_hint_ms
-       << "}\n}\n";
-
-  const bool cohorts_grew = pipelined.mean_cohort > single.mean_cohort;
-  const bool scale_clean = scale.errors == 0 && scale.commits > 0 &&
-                           scale.connections_active >= scale.connections;
-  const bool shed_visible =
-      overload.sheds > 0 && overload.max_retry_hint_ms > 0;
-  std::cout << "wrote BENCH_network.json (pipelined mean cohort "
-            << pipelined.mean_cohort << " vs " << single.mean_cohort
-            << " one-at-a-time; " << scale.connections
-            << " connections multiplexed; overload retained "
-            << static_cast<int>(overload.retention * 100)
-            << "% of heavy peak)\n";
+  // Each shape must hold in every timed repetition (the min/max of the
+  // figure across repetitions).
+  const bool cohorts_grew = report.Get("pipelined.mean_cohort").min >
+                            report.Get("one_at_a_time.mean_cohort").max;
+  const bool scale_clean =
+      report.Get("scale.errors").max == 0 &&
+      report.Get("scale.commits").min > 0 &&
+      report.Get("scale.connections_active").min >=
+          static_cast<double>(connections);
+  const bool shed_visible = report.Get("overload.sheds").min > 0 &&
+                            report.Get("overload.max_retry_hint_ms").min > 0;
   return cohorts_grew && scale_clean && shed_visible ? 0 : 1;
 }

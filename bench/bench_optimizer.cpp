@@ -52,8 +52,8 @@ void RunJoinQuery(benchmark::State& state, bool optimize) {
 
 void BM_JoinNaive(benchmark::State& state) { RunJoinQuery(state, false); }
 void BM_JoinOptimized(benchmark::State& state) { RunJoinQuery(state, true); }
-BENCHMARK(BM_JoinNaive)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_JoinOptimized)->Arg(64)->Arg(256)->Arg(1024);
+SOPR_BENCHMARK(BM_JoinNaive)->Arg(64)->Arg(256)->Arg(1024);
+SOPR_BENCHMARK(BM_JoinOptimized)->Arg(64)->Arg(256)->Arg(1024);
 
 void RunRuleWithJoinAction(benchmark::State& state, bool optimize) {
   // The rule's action joins the transition table against a base table —
@@ -106,8 +106,8 @@ void BM_RuleJoinActionNaive(benchmark::State& state) {
 void BM_RuleJoinActionOptimized(benchmark::State& state) {
   RunRuleWithJoinAction(state, true);
 }
-BENCHMARK(BM_RuleJoinActionNaive)->Arg(32)->Arg(128)->Arg(512);
-BENCHMARK(BM_RuleJoinActionOptimized)->Arg(32)->Arg(128)->Arg(512);
+SOPR_BENCHMARK(BM_RuleJoinActionNaive)->Arg(32)->Arg(128)->Arg(512);
+SOPR_BENCHMARK(BM_RuleJoinActionOptimized)->Arg(32)->Arg(128)->Arg(512);
 
 void RunPushdown(benchmark::State& state, bool optimize) {
   // Selective single-table predicate over a wide cross product: pushdown
@@ -127,8 +127,8 @@ void BM_PushdownNaive(benchmark::State& state) { RunPushdown(state, false); }
 void BM_PushdownOptimized(benchmark::State& state) {
   RunPushdown(state, true);
 }
-BENCHMARK(BM_PushdownNaive)->Arg(64)->Arg(256);
-BENCHMARK(BM_PushdownOptimized)->Arg(64)->Arg(256);
+SOPR_BENCHMARK(BM_PushdownNaive)->Arg(64)->Arg(256);
+SOPR_BENCHMARK(BM_PushdownOptimized)->Arg(64)->Arg(256);
 
 void RunPointSelect(benchmark::State& state, bool indexed) {
   // B9c: equality index vs linear scan for point predicates.
@@ -162,10 +162,10 @@ void BM_PointSelectScan(benchmark::State& state) {
 void BM_PointSelectIndexed(benchmark::State& state) {
   RunPointSelect(state, true);
 }
-BENCHMARK(BM_PointSelectScan)->Arg(100)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_PointSelectIndexed)->Arg(100)->Arg(1000)->Arg(10000);
+SOPR_BENCHMARK(BM_PointSelectScan)->Arg(100)->Arg(1000)->Arg(10000);
+SOPR_BENCHMARK(BM_PointSelectIndexed)->Arg(100)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace sopr
 
-BENCHMARK_MAIN();
+SOPR_BENCHMARK_MAIN()

@@ -25,7 +25,11 @@
 //
 // Success = the block committed within D of its scheduled arrival;
 // latency is end-to-end (arrival to final status), so client-side
-// backlog wait counts. Custom main; emits BENCH_overload.json.
+// backlog wait counts. Custom main: each repetition measures the peak
+// and then both configurations, in alternating order, on fresh servers;
+// BenchReport writes the median/min/max of each figure to
+// BENCH_overload.json. Exits 1 unless admission keeps >= 70% of peak
+// goodput by median and more than the unshedded configuration.
 //
 // Run: ./build/bench/bench_overload [seconds-per-window]
 
@@ -34,15 +38,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <mutex>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/failpoint.h"
+#include "bench_util.h"
 #include "engine/engine.h"
 #include "server/session_manager.h"
 
@@ -51,34 +52,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/sopr_bench_overload_XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  if (dir == nullptr) {
-    std::cerr << "mkdtemp failed\n";
-    std::exit(1);
-  }
-  return dir;
-}
-
-void Check(const Status& status, const char* what) {
-  if (!status.ok()) {
-    std::cerr << what << ": " << status << "\n";
-    std::exit(1);
-  }
-}
-
 constexpr int kClients = 16;       // open-loop worker sessions
 constexpr int kRowsPerTable = 256; // each client owns one table: no locks
 constexpr int kUpdatesPerBlock = 4;
 constexpr double kOverloadFactor = 4.0;
-
-double PercentileMs(std::vector<double>* samples, double p) {
-  if (samples->empty()) return 0;
-  std::sort(samples->begin(), samples->end());
-  const size_t idx = static_cast<size_t>(p * (samples->size() - 1));
-  return (*samples)[idx];
-}
 
 /// A block of full-table updates on the client's OWN table (no index, so
 /// each statement scans and rewrites all kRowsPerTable rows; per-client
@@ -94,19 +71,20 @@ std::string MakeBlock(int client) {
   return block;
 }
 
-std::unique_ptr<server::SessionManager> OpenServer() {
+/// `dir` holds the WAL and must outlive the returned server.
+std::unique_ptr<server::SessionManager> OpenServer(const TempDir& dir) {
   RuleEngineOptions options;
-  options.wal_dir = MakeTempDir();
+  options.wal_dir = dir.path();
   options.wal_fsync = WalFsyncPolicy::kOff;  // measure admission, not fsync
   auto manager = server::SessionManager::Open(options);
-  Check(manager.status(), "open");
+  BenchCheck(manager.status(), "open");
   auto setup = manager.value()->CreateSession();
-  Check(setup.status(), "setup session");
+  BenchCheck(setup.status(), "setup session");
   for (int c = 0; c < kClients; ++c) {
     const std::string table = "accts" + std::to_string(c);
-    Check(setup.value()->Execute("create table " + table +
-                                 " (id int, bal int)"),
-          "ddl");
+    BenchCheck(setup.value()->Execute("create table " + table +
+                                      " (id int, bal int)"),
+               "ddl");
     for (int i = 0; i < kRowsPerTable; i += 32) {
       std::string block;
       for (int j = i; j < i + 32; ++j) {
@@ -114,7 +92,7 @@ std::unique_ptr<server::SessionManager> OpenServer() {
         block += "insert into " + table + " values (" + std::to_string(j) +
                  ", 0)";
       }
-      Check(setup.value()->Execute(block), "load");
+      BenchCheck(setup.value()->Execute(block), "load");
     }
   }
   return std::move(manager).value();
@@ -127,7 +105,8 @@ struct PeakResult {
 };
 
 PeakResult MeasurePeak(double seconds) {
-  auto manager = OpenServer();
+  const TempDir dir("overload");
+  auto manager = OpenServer(dir);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> commits{0};
   std::mutex lat_mu;
@@ -137,11 +116,11 @@ PeakResult MeasurePeak(double seconds) {
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&, w] {
       auto session = manager->CreateSession();
-      Check(session.status(), "peak session");
+      BenchCheck(session.status(), "peak session");
       std::vector<double> mine;
       while (!stop.load(std::memory_order_relaxed)) {
         const auto t0 = Clock::now();
-        Check(session.value()->Execute(MakeBlock(w)), "peak block");
+        BenchCheck(session.value()->Execute(MakeBlock(w)), "peak block");
         mine.push_back(
             std::chrono::duration<double, std::milli>(Clock::now() - t0)
                 .count());
@@ -160,15 +139,12 @@ PeakResult MeasurePeak(double seconds) {
 
   PeakResult r;
   r.goodput = commits.load() / secs;
-  r.p50_ms = PercentileMs(&latencies, 0.50);
-  r.p99_ms = PercentileMs(&latencies, 0.99);
+  r.p50_ms = Percentile(&latencies, 0.50);
+  r.p99_ms = Percentile(&latencies, 0.99);
   return r;
 }
 
 struct OverloadResult {
-  std::string mode;  // "no_admission" | "admission"
-  double offered_per_sec = 0;
-  double seconds = 0;
   uint64_t offered = 0;
   uint64_t commits = 0;   // within budget: the goodput numerator
   uint64_t late = 0;      // committed but past D (wasted by the client)
@@ -181,7 +157,8 @@ struct OverloadResult {
 
 OverloadResult RunOverload(bool admission, double offered_per_sec,
                            std::chrono::microseconds budget, double seconds) {
-  auto manager = OpenServer();
+  const TempDir dir("overload");
+  auto manager = OpenServer(dir);
   if (admission) {
     server::AdmissionOptions options;
     options.max_inflight_writers = 2;  // the concurrency peak was measured at
@@ -202,7 +179,7 @@ OverloadResult RunOverload(bool admission, double offered_per_sec,
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       auto session = manager->CreateSession();
-      Check(session.status(), "client session");
+      BenchCheck(session.status(), "client session");
       session.value()->set_statement_timeout(budget);
       std::vector<double> mine_all, mine_success;
       while (true) {
@@ -229,7 +206,7 @@ OverloadResult RunOverload(bool admission, double offered_per_sec,
                    st.code() == StatusCode::kLockTimeout) {
           timeouts.fetch_add(1, std::memory_order_relaxed);
         } else {
-          Check(st, "overload block");
+          BenchCheck(st, "overload block");
         }
       }
       std::lock_guard<std::mutex> lock(lat_mu);
@@ -243,17 +220,14 @@ OverloadResult RunOverload(bool admission, double offered_per_sec,
       std::chrono::duration<double>(Clock::now() - start).count();
 
   OverloadResult r;
-  r.mode = admission ? "admission" : "no_admission";
-  r.offered_per_sec = offered_per_sec;
-  r.seconds = secs;
   r.offered = total_arrivals;
   r.commits = commits.load();
   r.late = late.load();
   r.timeouts = timeouts.load();
   r.sheds = sheds.load();
   r.goodput = r.commits / secs;
-  r.p99_all_ms = PercentileMs(&all_lat, 0.99);
-  r.p99_success_ms = PercentileMs(&success_lat, 0.99);
+  r.p99_all_ms = Percentile(&all_lat, 0.99);
+  r.p99_success_ms = Percentile(&success_lat, 0.99);
   return r;
 }
 
@@ -263,68 +237,62 @@ OverloadResult RunOverload(bool admission, double offered_per_sec,
 int main(int argc, char** argv) {
   ::unsetenv("SOPR_WAL_FSYNC");  // the bench pins kOff itself
   const double seconds = argc > 1 ? std::atof(argv[1]) : 2.0;
-  const unsigned cpus = std::thread::hardware_concurrency();
 
-  const sopr::PeakResult peak = sopr::MeasurePeak(seconds);
-  // The client's patience: 6x the uncontended per-commit service time.
-  // Floors at 10ms so scheduler noise on a loaded box cannot make the
-  // budget unmeetable even at peak concurrency.
-  const auto budget = std::chrono::microseconds(std::max<int64_t>(
-      10000, static_cast<int64_t>(peak.p50_ms * 6 * 1000)));
-  const double offered = peak.goodput * sopr::kOverloadFactor;
-  std::printf(
-      "peak %.0f commits/s (p50 %.2fms, p99 %.2fms); budget %.1fms, "
-      "offering %.0f/s (%.0fx) to %d clients\n",
-      peak.goodput, peak.p50_ms, peak.p99_ms, budget.count() / 1000.0,
-      offered, sopr::kOverloadFactor, sopr::kClients);
-
-  const sopr::OverloadResult collapse =
-      sopr::RunOverload(false, offered, budget, seconds);
-  const sopr::OverloadResult shedded =
-      sopr::RunOverload(true, offered, budget, seconds);
-  for (const sopr::OverloadResult* r : {&collapse, &shedded}) {
+  sopr::BenchReport report("overload", sopr::kClients);
+  report.Set("clients", sopr::kClients);
+  report.Set("overload_factor", sopr::kOverloadFactor);
+  report.Set("seconds_per_window", seconds);
+  report.Run([&](int rep) {
+    const sopr::PeakResult peak = sopr::MeasurePeak(seconds);
+    // The client's patience: 6x the uncontended per-commit service time.
+    // Floors at 10ms so scheduler noise on a loaded box cannot make the
+    // budget unmeetable even at peak concurrency.
+    const auto budget = std::chrono::microseconds(std::max<int64_t>(
+        10000, static_cast<int64_t>(peak.p50_ms * 6 * 1000)));
+    const double offered = peak.goodput * sopr::kOverloadFactor;
     std::printf(
-        "%-12s goodput %7.0f/s (%.0f%% of peak)  p99(all) %8.2fms  "
-        "p99(success) %7.2fms  commits=%llu late=%llu timeouts=%llu "
-        "sheds=%llu\n",
-        r->mode.c_str(), r->goodput, 100.0 * r->goodput / peak.goodput,
-        r->p99_all_ms, r->p99_success_ms,
-        static_cast<unsigned long long>(r->commits),
-        static_cast<unsigned long long>(r->late),
-        static_cast<unsigned long long>(r->timeouts),
-        static_cast<unsigned long long>(r->sheds));
-  }
+        "peak %.0f commits/s (p50 %.2fms, p99 %.2fms); budget %.1fms, "
+        "offering %.0f/s (%.0fx) to %d clients\n",
+        peak.goodput, peak.p50_ms, peak.p99_ms, budget.count() / 1000.0,
+        offered, sopr::kOverloadFactor, sopr::kClients);
+    report.Add("peak.goodput_per_sec", peak.goodput);
+    report.Add("peak.p50_ms", peak.p50_ms);
+    report.Add("peak.p99_ms", peak.p99_ms);
+    report.Add("budget_ms", budget.count() / 1000.0);
+    sopr::Alternate(rep, 2, [&](int admission) {
+      const sopr::OverloadResult r =
+          sopr::RunOverload(admission == 1, offered, budget, seconds);
+      const std::string prefix =
+          admission == 1 ? "admission." : "no_admission.";
+      std::printf(
+          "%-13s goodput %7.0f/s (%.0f%% of peak)  p99(all) %8.2fms  "
+          "p99(success) %7.2fms  commits=%llu late=%llu timeouts=%llu "
+          "sheds=%llu\n",
+          prefix.c_str(), r.goodput, 100.0 * r.goodput / peak.goodput,
+          r.p99_all_ms, r.p99_success_ms,
+          static_cast<unsigned long long>(r.commits),
+          static_cast<unsigned long long>(r.late),
+          static_cast<unsigned long long>(r.timeouts),
+          static_cast<unsigned long long>(r.sheds));
+      report.Add(prefix + "offered", r.offered);
+      report.Add(prefix + "commits", r.commits);
+      report.Add(prefix + "late", r.late);
+      report.Add(prefix + "timeouts", r.timeouts);
+      report.Add(prefix + "sheds", r.sheds);
+      report.Add(prefix + "goodput_per_sec", r.goodput);
+      report.Add(prefix + "retention_vs_peak", r.goodput / peak.goodput);
+      report.Add(prefix + "p99_all_ms", r.p99_all_ms);
+      report.Add(prefix + "p99_success_ms", r.p99_success_ms);
+    });
+  });
+  report.Write();
 
-  const double retention = shedded.goodput / peak.goodput;
-  const double collapse_retention = collapse.goodput / peak.goodput;
-  std::ofstream json("BENCH_overload.json");
-  json << "{\n  \"bench\": \"overload\",\n  \"cpus\": " << cpus
-       << ",\n  \"clients\": " << sopr::kClients
-       << ",\n  \"overload_factor\": " << sopr::kOverloadFactor
-       << ",\n  \"budget_ms\": " << budget.count() / 1000.0
-       << ",\n  \"peak\": {\"goodput_per_sec\": " << peak.goodput
-       << ", \"p50_ms\": " << peak.p50_ms << ", \"p99_ms\": " << peak.p99_ms
-       << "},\n  \"runs\": [\n";
-  const sopr::OverloadResult* runs[] = {&collapse, &shedded};
-  for (size_t i = 0; i < 2; ++i) {
-    const sopr::OverloadResult& r = *runs[i];
-    json << "    {\"mode\": \"" << r.mode
-         << "\", \"offered_per_sec\": " << r.offered_per_sec
-         << ", \"seconds\": " << r.seconds << ", \"offered\": " << r.offered
-         << ", \"commits\": " << r.commits << ", \"late\": " << r.late
-         << ", \"timeouts\": " << r.timeouts << ", \"sheds\": " << r.sheds
-         << ", \"goodput_per_sec\": " << r.goodput
-         << ", \"retention_vs_peak\": " << r.goodput / peak.goodput
-         << ", \"p99_all_ms\": " << r.p99_all_ms
-         << ", \"p99_success_ms\": " << r.p99_success_ms << "}"
-         << (i == 0 ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"admission_retention\": " << retention
-       << ",\n  \"no_admission_retention\": " << collapse_retention << "\n}\n";
-  std::cout << "wrote BENCH_overload.json (admission retains "
-            << static_cast<int>(retention * 100)
-            << "% of peak goodput under " << sopr::kOverloadFactor
-            << "x overload vs " << static_cast<int>(collapse_retention * 100)
-            << "% unshedded, on " << cpus << " cpu(s))\n";
+  const double retention = report.Get("admission.retention_vs_peak").median;
+  const double collapse_retention =
+      report.Get("no_admission.retention_vs_peak").median;
+  std::printf(
+      "admission retains %.0f%% of peak goodput under %.0fx overload vs "
+      "%.0f%% unshedded (medians)\n",
+      retention * 100, sopr::kOverloadFactor, collapse_retention * 100);
   return retention >= 0.7 && retention > collapse_retention ? 0 : 1;
 }

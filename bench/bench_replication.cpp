@@ -9,47 +9,28 @@
 //      scale with followers because each replays into its own engine and
 //      readers never touch the primary.
 //
-// Custom main (not google-benchmark): timed runs against fresh WAL
-// directories, results written to BENCH_replication.json for the CI
-// trend tracker. Fsync is pinned OFF so the numbers measure the
-// replication machinery, not the disk.
+// Custom main (not google-benchmark): each repetition runs every
+// configuration against fresh WAL directories, and BenchReport writes
+// the median/min/max of each to BENCH_replication.json. Fsync is pinned
+// OFF so the numbers measure the replication machinery, not the disk.
 //
 // Run: ./build/bench/bench_replication [txns-per-config]
 
 #include <sys/stat.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "engine/engine.h"
 #include "replication/follower.h"
 
 namespace sopr {
 namespace {
-
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/sopr_bench_replication_XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  if (dir == nullptr) {
-    std::cerr << "mkdtemp failed\n";
-    std::exit(1);
-  }
-  return dir;
-}
-
-void Check(const Status& status, const char* what) {
-  if (!status.ok()) {
-    std::cerr << what << ": " << status << "\n";
-    std::exit(1);
-  }
-}
 
 RuleEngineOptions PrimaryOptions(const std::string& dir) {
   RuleEngineOptions options;
@@ -68,16 +49,6 @@ replication::FollowerOptions MakeFollowerOptions(const std::string& dir) {
   return options;
 }
 
-struct RunResult {
-  std::string experiment;  // "lag" | "reads"
-  int batch = 0;           // lag: commits per burst
-  int followers = 0;       // reads: fan-out
-  int operations = 0;      // groups applied / reads served
-  double seconds = 0;
-  double per_sec = 0;
-  uint64_t max_lag_bytes = 0;
-};
-
 Status RunTxn(Engine* engine, int i) {
   return engine->Execute("insert into t values (" + std::to_string(i) +
                          ", " + std::to_string(i % 97) + ")");
@@ -92,15 +63,16 @@ uint64_t FileSize(const std::string& path) {
 /// Lag vs write load: the primary commits `batch` transactions between
 /// follower polls; the follower's first poll of each burst reports the
 /// accumulated lag bound, then drains it.
-RunResult RunLag(int batch, int total_txns) {
-  const std::string dir = MakeTempDir();
+void RunLag(int batch, int total_txns, BenchReport* report) {
+  const TempDir temp("replication");
+  const std::string& dir = temp.path();
   auto primary = Engine::Open(PrimaryOptions(dir));
-  Check(primary.status(), "open primary");
-  Check(primary.value()->Execute("create table t (id int, v int)"), "ddl");
+  BenchCheck(primary.status(), "open primary");
+  BenchCheck(primary.value()->Execute("create table t (id int, v int)"), "ddl");
 
   auto follower = replication::Follower::Open(MakeFollowerOptions(dir));
-  Check(follower.status(), "open follower");
-  Check(follower.value()->CatchUp(), "initial catch-up");
+  BenchCheck(follower.status(), "open follower");
+  BenchCheck(follower.value()->CatchUp(), "initial catch-up");
 
   const std::string log_path = dir + "/wal.log";
   uint64_t drained = FileSize(log_path);
@@ -108,14 +80,14 @@ RunResult RunLag(int batch, int total_txns) {
   double replay_seconds = 0;
   for (int done = 0; done < total_txns; done += batch) {
     for (int i = 0; i < batch; ++i) {
-      Check(RunTxn(primary.value().get(), done + i), "txn");
+      BenchCheck(RunTxn(primary.value().get(), done + i), "txn");
     }
     // The burst is durable but unapplied: this is the lag bound a reader
     // would see before the follower's next poll.
     const uint64_t size = FileSize(log_path);
     if (size - drained > max_lag) max_lag = size - drained;
     const auto start = std::chrono::steady_clock::now();
-    Check(follower.value()->CatchUp(), "catch-up");
+    BenchCheck(follower.value()->CatchUp(), "catch-up");
     replay_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -123,35 +95,31 @@ RunResult RunLag(int batch, int total_txns) {
     drained = size;
   }
 
-  RunResult r;
-  r.experiment = "lag";
-  r.batch = batch;
-  r.operations = total_txns;
-  r.seconds = replay_seconds;
-  r.per_sec = total_txns / replay_seconds;
-  r.max_lag_bytes = max_lag;
-  return r;
+  const std::string prefix = "lag.batch" + std::to_string(batch) + ".";
+  report->Add(prefix + "replay_txns_per_sec", total_txns / replay_seconds);
+  report->Add(prefix + "max_lag_bytes", max_lag);
 }
 
 /// Read throughput vs fan-out: `followers` replicas of one preloaded
 /// primary directory, one reader thread each, fixed read count.
-RunResult RunReads(int followers, int reads_per_follower) {
-  const std::string dir = MakeTempDir();
+void RunReads(int followers, int reads_per_follower, BenchReport* report) {
+  const TempDir temp("replication");
+  const std::string& dir = temp.path();
   {
     auto primary = Engine::Open(PrimaryOptions(dir));
-    Check(primary.status(), "open primary");
-    Check(primary.value()->Execute("create table t (id int, v int)"),
-          "ddl");
+    BenchCheck(primary.status(), "open primary");
+    BenchCheck(primary.value()->Execute("create table t (id int, v int)"),
+               "ddl");
     for (int i = 0; i < 200; ++i) {
-      Check(RunTxn(primary.value().get(), i), "load");
+      BenchCheck(RunTxn(primary.value().get(), i), "load");
     }
   }  // primary closed: followers read a quiesced directory
 
   std::vector<std::unique_ptr<replication::Follower>> fleet;
   for (int f = 0; f < followers; ++f) {
     auto follower = replication::Follower::Open(MakeFollowerOptions(dir));
-    Check(follower.status(), "open follower");
-    Check(follower.value()->CatchUp(), "catch-up");
+    BenchCheck(follower.status(), "open follower");
+    BenchCheck(follower.value()->CatchUp(), "catch-up");
     fleet.push_back(std::move(follower).value());
   }
 
@@ -163,7 +131,7 @@ RunResult RunReads(int followers, int reads_per_follower) {
         auto result =
             fleet[f]->Query("select count(*) from t where v = " +
                             std::to_string(i % 97));
-        Check(result.status(), "read");
+        BenchCheck(result.status(), "read");
       }
     });
   }
@@ -172,13 +140,8 @@ RunResult RunReads(int followers, int reads_per_follower) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  RunResult r;
-  r.experiment = "reads";
-  r.followers = followers;
-  r.operations = followers * reads_per_follower;
-  r.seconds = secs;
-  r.per_sec = r.operations / secs;
-  return r;
+  report->Add("reads.followers" + std::to_string(followers) + ".per_sec",
+              followers * reads_per_follower / secs);
 }
 
 }  // namespace
@@ -189,42 +152,14 @@ int main(int argc, char** argv) {
   ::unsetenv("SOPR_WAL_FSYNC");
   const int total = argc > 1 ? std::atoi(argv[1]) : 256;
 
-  std::vector<sopr::RunResult> results;
-  for (int batch : {1, 4, 16, 64}) {
-    results.push_back(sopr::RunLag(batch, total));
-  }
-  for (int followers : {1, 2, 4}) {
-    results.push_back(sopr::RunReads(followers, total * 4));
-  }
-
-  std::ofstream json("BENCH_replication.json");
-  json << "{\n  \"bench\": \"replication\",\n  \"runs\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const sopr::RunResult& r = results[i];
-    json << "    {\"experiment\": \"" << r.experiment << "\", \"batch\": "
-         << r.batch << ", \"followers\": " << r.followers
-         << ", \"operations\": " << r.operations << ", \"seconds\": "
-         << r.seconds << ", \"per_sec\": " << r.per_sec
-         << ", \"max_lag_bytes\": " << r.max_lag_bytes << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-    std::printf(
-        "%-5s batch=%-3d followers=%-2d ops=%-6d %8.3fs %10.0f/s "
-        "max_lag=%llu\n",
-        r.experiment.c_str(), r.batch, r.followers, r.operations, r.seconds,
-        r.per_sec, static_cast<unsigned long long>(r.max_lag_bytes));
-  }
-  double replay_per_sec = 0;
-  double reads_per_sec = 0;
-  for (const sopr::RunResult& r : results) {
-    if (r.experiment == "lag" && r.per_sec > replay_per_sec) {
-      replay_per_sec = r.per_sec;
+  sopr::BenchReport report("replication", /*threads=*/4);
+  report.Set("txns_per_config", total);
+  report.Run([&](int) {
+    for (int batch : {1, 4, 16, 64}) sopr::RunLag(batch, total, &report);
+    for (int followers : {1, 2, 4}) {
+      sopr::RunReads(followers, total * 4, &report);
     }
-    if (r.experiment == "reads" && r.per_sec > reads_per_sec) {
-      reads_per_sec = r.per_sec;
-    }
-  }
-  json << "  ],\n  \"replay_txns_per_sec\": " << replay_per_sec
-       << ",\n  \"follower_reads_per_sec\": " << reads_per_sec << "\n}\n";
-  std::cout << "wrote BENCH_replication.json\n";
+  });
+  report.Write();
   return 0;
 }

@@ -47,7 +47,12 @@ void BM_SetOrientedAudit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SetOrientedAudit)->Arg(1)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
+SOPR_BENCHMARK(BM_SetOrientedAudit)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
 
 void BM_InstanceOrientedAudit(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -86,7 +91,7 @@ void BM_InstanceOrientedAudit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_InstanceOrientedAudit)
+SOPR_BENCHMARK(BM_InstanceOrientedAudit)
     ->Arg(1)
     ->Arg(8)
     ->Arg(64)
@@ -124,7 +129,7 @@ void BM_SetOrientedGuarded(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SetOrientedGuarded)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
+SOPR_BENCHMARK(BM_SetOrientedGuarded)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_InstanceOrientedGuarded(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -157,7 +162,11 @@ void BM_InstanceOrientedGuarded(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_InstanceOrientedGuarded)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
+SOPR_BENCHMARK(BM_InstanceOrientedGuarded)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
 
 // Cascade variant: delete of a parent set cascades to a child table.
 // Set-oriented: one rule firing per level; instance-oriented: one firing
@@ -199,7 +208,7 @@ void BM_SetOrientedCascade(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SetOrientedCascade)->Arg(8)->Arg(64)->Arg(256);
+SOPR_BENCHMARK(BM_SetOrientedCascade)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_InstanceOrientedCascade(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -238,9 +247,9 @@ void BM_InstanceOrientedCascade(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_InstanceOrientedCascade)->Arg(8)->Arg(64)->Arg(256);
+SOPR_BENCHMARK(BM_InstanceOrientedCascade)->Arg(8)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace sopr
 
-BENCHMARK_MAIN();
+SOPR_BENCHMARK_MAIN()

@@ -75,7 +75,7 @@ void BM_PerRuleMaintenance(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * depth);
 }
-BENCHMARK(BM_PerRuleMaintenance)->Arg(0)->Arg(8)->Arg(32)->Arg(128);
+SOPR_BENCHMARK(BM_PerRuleMaintenance)->Arg(0)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_SharedLogMaintenance(benchmark::State& state) {
   const int idle_rules = static_cast<int>(state.range(0));
@@ -85,9 +85,9 @@ void BM_SharedLogMaintenance(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * depth);
 }
-BENCHMARK(BM_SharedLogMaintenance)->Arg(0)->Arg(8)->Arg(32)->Arg(128);
+SOPR_BENCHMARK(BM_SharedLogMaintenance)->Arg(0)->Arg(8)->Arg(32)->Arg(128);
 
 }  // namespace
 }  // namespace sopr
 
-BENCHMARK_MAIN();
+SOPR_BENCHMARK_MAIN()

@@ -43,15 +43,4 @@ Status Backoff::Sleep(const char* where) {
   return CancellableSleep(NextDelay(), where);
 }
 
-Status RetryWithBackoff(Backoff* backoff, const std::function<Status()>& fn) {
-  for (;;) {
-    Status attempt = fn();
-    if (attempt.code() != StatusCode::kUnavailable) return attempt;
-    if (!backoff->ShouldRetry()) return attempt;
-    // A cancelled/expired budget beats the retry schedule: surface the
-    // cancellation, not the transient failure being retried.
-    SOPR_RETURN_NOT_OK(backoff->Sleep("retry backoff"));
-  }
-}
-
 }  // namespace sopr

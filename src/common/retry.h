@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <random>
 
 #include "common/status.h"
@@ -62,11 +61,6 @@ class Backoff {
   uint64_t attempts_ = 0;
   double current_us_;
 };
-
-/// Runs `fn` until it returns a status that is OK or non-retryable
-/// (anything but kUnavailable), sleeping `backoff` delays between
-/// attempts. Returns the last status when attempts run out.
-Status RetryWithBackoff(Backoff* backoff, const std::function<Status()>& fn);
 
 }  // namespace sopr
 

@@ -1,8 +1,5 @@
 #include "net/frame.h"
 
-#include <bit>
-#include <cstring>
-
 namespace sopr {
 namespace net {
 
@@ -11,151 +8,13 @@ bool IsRequestType(uint8_t type) {
          type <= static_cast<uint8_t>(FrameType::kGoodbye);
 }
 
-// --- PayloadWriter --------------------------------------------------------
-
-void PayloadWriter::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PayloadWriter::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PayloadWriter::Str(std::string_view s) {
-  U32(static_cast<uint32_t>(s.size()));
-  out_.append(s.data(), s.size());
-}
-
-void PayloadWriter::Val(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      U8(0);
-      break;
-    case ValueType::kBool:
-      U8(1);
-      U8(v.AsBool() ? 1 : 0);
-      break;
-    case ValueType::kInt:
-      U8(2);
-      U64(static_cast<uint64_t>(v.AsInt()));
-      break;
-    case ValueType::kDouble:
-      U8(3);
-      U64(std::bit_cast<uint64_t>(v.AsDouble()));
-      break;
-    case ValueType::kString:
-      U8(4);
-      Str(v.AsString());
-      break;
-  }
-}
-
-void PayloadWriter::PutRow(const Row& row) {
-  U32(static_cast<uint32_t>(row.size()));
-  for (size_t i = 0; i < row.size(); ++i) Val(row.at(i));
-}
+// --- Result sets ----------------------------------------------------------
 
 void PayloadWriter::PutResult(const QueryResult& result) {
   U32(static_cast<uint32_t>(result.columns.size()));
   for (const std::string& c : result.columns) Str(c);
   U32(static_cast<uint32_t>(result.rows.size()));
   for (const Row& r : result.rows) PutRow(r);
-}
-
-// --- PayloadReader --------------------------------------------------------
-
-Status PayloadReader::Need(size_t n) const {
-  if (data_.size() - pos_ < n) {
-    return Status::InvalidArgument(
-        "truncated payload: need " + std::to_string(n) + " bytes at offset " +
-        std::to_string(pos_) + " of " + std::to_string(data_.size()));
-  }
-  return Status::OK();
-}
-
-Result<uint8_t> PayloadReader::U8() {
-  SOPR_RETURN_NOT_OK(Need(1));
-  return static_cast<uint8_t>(data_[pos_++]);
-}
-
-Result<uint32_t> PayloadReader::U32() {
-  SOPR_RETURN_NOT_OK(Need(4));
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> PayloadReader::U64() {
-  SOPR_RETURN_NOT_OK(Need(8));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<std::string> PayloadReader::Str() {
-  SOPR_ASSIGN_OR_RETURN(uint32_t len, U32());
-  SOPR_RETURN_NOT_OK(Need(len));
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
-  return s;
-}
-
-Result<Value> PayloadReader::Val() {
-  SOPR_ASSIGN_OR_RETURN(uint8_t tag, U8());
-  switch (tag) {
-    case 0:
-      return Value::Null();
-    case 1: {
-      SOPR_ASSIGN_OR_RETURN(uint8_t b, U8());
-      return Value::Bool(b != 0);
-    }
-    case 2: {
-      SOPR_ASSIGN_OR_RETURN(uint64_t v, U64());
-      return Value::Int(static_cast<int64_t>(v));
-    }
-    case 3: {
-      SOPR_ASSIGN_OR_RETURN(uint64_t v, U64());
-      return Value::Double(std::bit_cast<double>(v));
-    }
-    case 4: {
-      SOPR_ASSIGN_OR_RETURN(std::string s, Str());
-      return Value::String(std::move(s));
-    }
-    default:
-      return Status::InvalidArgument("unknown value tag " +
-                                     std::to_string(tag));
-  }
-}
-
-Result<Row> PayloadReader::GetRow() {
-  SOPR_ASSIGN_OR_RETURN(uint32_t n, U32());
-  // A row is at least one byte per value on the wire; a declared count
-  // beyond the remaining bytes is malformed, not an allocation request.
-  if (n > remaining()) {
-    return Status::InvalidArgument("row declares " + std::to_string(n) +
-                                   " values but only " +
-                                   std::to_string(remaining()) +
-                                   " payload bytes remain");
-  }
-  std::vector<Value> values;
-  values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    SOPR_ASSIGN_OR_RETURN(Value v, Val());
-    values.push_back(std::move(v));
-  }
-  return Row(std::move(values));
 }
 
 Result<QueryResult> PayloadReader::GetResult() {

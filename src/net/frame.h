@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/status.h"
 #include "expr/evaluator.h"
 #include "types/row.h"
@@ -63,48 +64,22 @@ struct Frame {
 
 // --- Payload primitives ---------------------------------------------------
 
-/// Appends payload primitives to a byte buffer.
-class PayloadWriter {
+/// Appends payload primitives (common/byte_codec.h) plus result sets to a
+/// byte buffer.
+class PayloadWriter : public ByteWriter {
  public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  /// u32 length + bytes.
-  void Str(std::string_view s);
-  /// u8 type tag + value bytes (null/bool/int/double/string).
-  void Val(const Value& v);
-  void PutRow(const Row& row);
   void PutResult(const QueryResult& result);
-
-  const std::string& bytes() const { return out_; }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
 };
 
-/// Bounds-checked reader over a payload. Every accessor fails with
-/// kInvalidArgument on truncation — a malformed payload can never read
-/// out of bounds or crash the server.
-class PayloadReader {
+/// Bounds-checked reader over a payload (common/byte_codec.h) that also
+/// decodes result sets. Every accessor fails with kInvalidArgument on
+/// truncation — a malformed payload can never read out of bounds or
+/// crash the server.
+class PayloadReader : public ByteReader {
  public:
-  explicit PayloadReader(std::string_view data) : data_(data) {}
+  using ByteReader::ByteReader;
 
-  Result<uint8_t> U8();
-  Result<uint32_t> U32();
-  Result<uint64_t> U64();
-  Result<std::string> Str();
-  Result<Value> Val();
-  Result<Row> GetRow();
   Result<QueryResult> GetResult();
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  Status Need(size_t n) const;
-  std::string_view data_;
-  size_t pos_ = 0;
 };
 
 // --- Frame encode / decode ------------------------------------------------

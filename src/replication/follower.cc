@@ -7,6 +7,7 @@
 #include <fstream>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "sql/parser.h"
@@ -80,7 +81,27 @@ struct Replica {
   uint64_t covers_lsn = 0;     // checkpoint this generation loaded
   uint64_t base_next_lsn = 1;  // LSN watermark recovery handed over
   uint64_t base_next_txn = 1;
+
+  /// The snapshots pinned on this generation. Promote() releases them
+  /// all and sets pins_released before the engine moves out, so no pin
+  /// can outlive the registry it points into.
+  std::mutex pins_mu;
+  std::vector<std::weak_ptr<PinnedSnapshot>> pins;
+  bool pins_released = false;
 };
+
+struct PinnedSnapshot {
+  std::shared_ptr<Replica> replica;  // declared first: outlives the pin
+  uint64_t lsn = 0;
+  /// Guards `pin`: a QueryAt holds it for its whole read, so Promote's
+  /// release waits for reads in flight.
+  std::mutex mu;
+  SnapshotRegistry::Pin pin;
+};
+
+uint64_t Follower::Snapshot::lsn() const {
+  return pinned == nullptr ? 0 : pinned->lsn;
+}
 
 Follower::Follower(FollowerOptions options)
     : options_(std::move(options)), dir_(options_.engine.wal_dir) {}
@@ -317,25 +338,40 @@ LagBound Follower::Lag() const {
 }
 
 Follower::Snapshot Follower::PinSnapshot() {
-  std::shared_ptr<Replica> replica = live();
-  SnapshotRegistry::Pin pin = replica->scheduler->PinSnapshot();
-  return Snapshot{std::move(replica), std::move(pin)};
+  auto pinned = std::make_shared<PinnedSnapshot>();
+  pinned->replica = live();
+  Replica& replica = *pinned->replica;
+  std::lock_guard<std::mutex> lock(replica.pins_mu);
+  // After promotion the snapshot stays unpinned, and QueryAt refuses it.
+  if (!replica.pins_released) {
+    pinned->pin = replica.scheduler->PinSnapshot();
+    pinned->lsn = pinned->pin.lsn();
+    std::erase_if(replica.pins, [](const std::weak_ptr<PinnedSnapshot>& p) {
+      return p.expired();
+    });
+    replica.pins.push_back(pinned);
+  }
+  return Snapshot{std::move(pinned)};
 }
 
 Result<QueryResult> Follower::QueryAt(const Snapshot& snapshot,
                                       const std::string& sql) {
-  if (snapshot.replica == nullptr || snapshot.replica->engine == nullptr) {
-    return Status::Unavailable(
-        "this snapshot's replica was promoted; re-pin against the "
-        "promoted engine");
-  }
   SOPR_ASSIGN_OR_RETURN(StmtPtr stmt, Parser::ParseStatement(sql));
   if (stmt->kind != StmtKind::kSelect) {
     return Status::ReadOnlyReplica(
         "snapshot sessions on a follower are read-only");
   }
-  return snapshot.replica->scheduler->QueryAt(
-      snapshot.pin, static_cast<const SelectStmt&>(*stmt));
+  PinnedSnapshot* pinned = snapshot.pinned.get();
+  if (pinned != nullptr) {
+    std::lock_guard<std::mutex> lock(pinned->mu);
+    if (pinned->pin.pinned()) {
+      return pinned->replica->scheduler->QueryAt(
+          pinned->pin, static_cast<const SelectStmt&>(*stmt));
+    }
+  }
+  return Status::Unavailable(
+      "this snapshot's replica was promoted; re-pin against the promoted "
+      "engine");
 }
 
 Result<QueryResult> Follower::Query(const std::string& sql) {
@@ -440,8 +476,20 @@ Result<std::unique_ptr<Engine>> Follower::Promote() {
   SOPR_RETURN_NOT_OK(writer->Open(dir_, next_lsn, next_txn));
   replica->engine->AdoptDurability(std::move(dir_lock), std::move(writer));
   promoted_.store(true, std::memory_order_release);
-  // The engine moves out to the caller; pinned sessions on this replica
-  // see the null engine and refuse with a pointer to the promoted one.
+  // The engine moves out to the caller, who may destroy it before the
+  // snapshots pinned here are dropped: release their pins while the
+  // registry they point into is still this replica's, and pin no more.
+  {
+    std::lock_guard<std::mutex> lock(replica->pins_mu);
+    for (const std::weak_ptr<PinnedSnapshot>& weak : replica->pins) {
+      if (std::shared_ptr<PinnedSnapshot> pinned = weak.lock()) {
+        std::lock_guard<std::mutex> pin_lock(pinned->mu);
+        pinned->pin.Reset();
+      }
+    }
+    replica->pins.clear();
+    replica->pins_released = true;
+  }
   return std::move(replica->engine);
 }
 

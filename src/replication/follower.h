@@ -21,6 +21,9 @@ namespace replication {
 /// replayer (defined in follower.cc). A checkpoint-rotation re-bootstrap
 /// creates a new generation; old ones live until their last pin drops.
 struct Replica;
+/// One snapshot pin and the generation it was taken on (defined in
+/// follower.cc).
+struct PinnedSnapshot;
 
 struct FollowerOptions {
   /// Engine options for the replica. `engine.wal_dir` names the PRIMARY's
@@ -92,21 +95,20 @@ class Follower {
 
   LagBound Lag() const;
 
-  /// A pinned read point: holds both the snapshot pin and the replica
-  /// state it belongs to, so a checkpoint-rotation re-bootstrap (which
-  /// swaps in a fresh replica) cannot pull the data out from under an
-  /// open session — stale replicas live until their last pin drops.
+  /// A pinned read point. It keeps the replica generation it was taken
+  /// on alive, so a checkpoint-rotation re-bootstrap (which swaps in a
+  /// fresh replica) cannot pull the data out from under an open session:
+  /// stale replicas live until their last pin drops. Promote() releases
+  /// every pin still open on the promoted replica before the engine moves
+  /// out, so a Snapshot may outlive the promoted engine in any order.
   struct Snapshot {
-    // Order matters: the pin must be destroyed BEFORE the replica that
-    // owns its registry.
-    std::shared_ptr<Replica> replica;
-    SnapshotRegistry::Pin pin;
-    uint64_t lsn() const { return pin.lsn(); }
+    std::shared_ptr<PinnedSnapshot> pinned;
+    uint64_t lsn() const;
   };
 
   Snapshot PinSnapshot();
-  /// Runs a select against a pinned snapshot. After promotion the pinned
-  /// replica's engine has moved out: kUnavailable.
+  /// Runs a select against a pinned snapshot. After promotion the pin is
+  /// released: kUnavailable.
   Result<QueryResult> QueryAt(const Snapshot& snapshot,
                               const std::string& sql);
   /// One-shot snapshot read at the current replayed LSN.
@@ -123,9 +125,8 @@ class Follower {
   /// invariants, and attaches a WalWriter continuing the LSN sequence.
   /// Returns the promoted engine — a full primary whose commits append
   /// to the same log. The follower accepts no new work, and QueryAt on a
-  /// snapshot pinned before promotion answers kUnavailable. Such a
-  /// snapshot's pin lives in the promoted engine's registry, so drop it
-  /// before destroying that engine.
+  /// snapshot pinned before promotion answers kUnavailable: its pin was
+  /// released here, while the engine was still the follower's.
   Result<std::unique_ptr<Engine>> Promote();
 
   bool promoted() const { return promoted_.load(std::memory_order_acquire); }

@@ -5,6 +5,7 @@
 
 #include "common/digest.h"
 #include "common/failpoint.h"
+#include "common/retry.h"
 #include "common/string_util.h"
 #include "rules/transition_tables.h"
 #include "sql/parser.h"
@@ -630,6 +631,13 @@ Status RuleEngine::RunDeferred(std::vector<DeferredFiring> queue,
     const Rule& rule = *rules_[f.rule_index]->rule;
     Status attempt = Status::OK();
     size_t attempts = 0;
+    // Attempt k sleeps backoff * 2^(k-1), capped at one second.
+    RetryPolicy policy;
+    policy.initial_delay = options_.detached_retry_backoff;
+    policy.max_delay = std::chrono::seconds(1);
+    policy.multiplier = 2.0;
+    policy.jitter = 0.0;
+    Backoff backoff(policy);
     while (true) {
       if (++tls.detached_runs > options_.max_rule_firings) {
         overall = Status::LimitExceeded(
@@ -649,19 +657,11 @@ Status RuleEngine::RunDeferred(std::vector<DeferredFiring> queue,
       if (trace != nullptr) trace->firings.resize(firings_before);
       if (attempts > options_.detached_retries) break;
       if (options_.detached_retry_backoff.count() > 0) {
-        auto delay = options_.detached_retry_backoff *
-                     (1LL << std::min<size_t>(attempts - 1, 10));
         // Deadline/cancel-aware: the sleep is clipped to the ambient
         // budget (the session's statement timeout or a kill), and an
         // interrupted sleep ends the retry schedule — the cancellation,
         // not the transient failure, is what the caller must see.
-        Status slept = CancellableSleep(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::min<std::chrono::milliseconds>(
-                    std::chrono::duration_cast<std::chrono::milliseconds>(
-                        delay),
-                    std::chrono::milliseconds(1000))),
-            "detached retry backoff");
+        Status slept = backoff.Sleep("detached retry backoff");
         if (!slept.ok()) {
           attempt = slept;
           break;

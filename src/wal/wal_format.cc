@@ -1,9 +1,8 @@
 #include "wal/wal_format.h"
 
-#include <cstring>
 #include <fstream>
-#include <sstream>
 
+#include "common/byte_codec.h"
 #include "wal/crc32c.h"
 
 namespace sopr {
@@ -30,173 +29,6 @@ const char* RecordTypeName(RecordType type) {
   }
   return "?";
 }
-
-// ---------------------------------------------------------------------------
-// Primitive codec
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(buf, 8);
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-void PutValue(std::string* out, const Value& v) {
-  out->push_back(static_cast<char>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kBool:
-      out->push_back(v.AsBool() ? 1 : 0);
-      break;
-    case ValueType::kInt:
-      PutU64(out, static_cast<uint64_t>(v.AsInt()));
-      break;
-    case ValueType::kDouble: {
-      uint64_t bits = 0;
-      double d = v.AsDouble();
-      std::memcpy(&bits, &d, sizeof(bits));
-      PutU64(out, bits);
-      break;
-    }
-    case ValueType::kString:
-      PutString(out, v.AsString());
-      break;
-  }
-}
-
-void PutRow(std::string* out, const Row& row) {
-  PutU32(out, static_cast<uint32_t>(row.size()));
-  for (size_t i = 0; i < row.size(); ++i) PutValue(out, row.at(i));
-}
-
-/// Bounds-checked sequential reader over a payload.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view data) : data_(data) {}
-
-  Status GetU32(uint32_t* out) {
-    if (data_.size() - pos_ < 4) return Truncated("u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return Status::OK();
-  }
-
-  Status GetU64(uint64_t* out) {
-    if (data_.size() - pos_ < 8) return Truncated("u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return Status::OK();
-  }
-
-  Status GetU8(uint8_t* out) {
-    if (pos_ >= data_.size()) return Truncated("u8");
-    *out = static_cast<unsigned char>(data_[pos_++]);
-    return Status::OK();
-  }
-
-  Status GetString(std::string* out) {
-    uint32_t len = 0;
-    SOPR_RETURN_NOT_OK(GetU32(&len));
-    if (data_.size() - pos_ < len) return Truncated("string body");
-    out->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  Status GetValue(Value* out) {
-    uint8_t tag = 0;
-    SOPR_RETURN_NOT_OK(GetU8(&tag));
-    switch (static_cast<ValueType>(tag)) {
-      case ValueType::kNull:
-        *out = Value::Null();
-        return Status::OK();
-      case ValueType::kBool: {
-        uint8_t b = 0;
-        SOPR_RETURN_NOT_OK(GetU8(&b));
-        *out = Value::Bool(b != 0);
-        return Status::OK();
-      }
-      case ValueType::kInt: {
-        uint64_t v = 0;
-        SOPR_RETURN_NOT_OK(GetU64(&v));
-        *out = Value::Int(static_cast<int64_t>(v));
-        return Status::OK();
-      }
-      case ValueType::kDouble: {
-        uint64_t bits = 0;
-        SOPR_RETURN_NOT_OK(GetU64(&bits));
-        double d = 0;
-        std::memcpy(&d, &bits, sizeof(d));
-        *out = Value::Double(d);
-        return Status::OK();
-      }
-      case ValueType::kString: {
-        std::string s;
-        SOPR_RETURN_NOT_OK(GetString(&s));
-        *out = Value::String(std::move(s));
-        return Status::OK();
-      }
-    }
-    return Status::DataLoss("wal record: unknown value tag " +
-                            std::to_string(tag));
-  }
-
-  Status GetRow(Row* out) {
-    uint32_t arity = 0;
-    SOPR_RETURN_NOT_OK(GetU32(&arity));
-    if (arity > data_.size() - pos_) {
-      // Each value costs at least one tag byte; an arity larger than the
-      // remaining bytes cannot be well-formed.
-      return Truncated("row arity");
-    }
-    std::vector<Value> values;
-    values.reserve(arity);
-    for (uint32_t i = 0; i < arity; ++i) {
-      Value v;
-      SOPR_RETURN_NOT_OK(GetValue(&v));
-      values.push_back(std::move(v));
-    }
-    *out = Row(std::move(values));
-    return Status::OK();
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  static Status Truncated(const char* what) {
-    return Status::DataLoss(std::string("wal record payload truncated (") +
-                            what + ")");
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Record constructors
@@ -288,108 +120,131 @@ WalRecord WalRecord::SnapshotHeader(uint64_t lsn, uint64_t covers_lsn,
 // ---------------------------------------------------------------------------
 
 std::string EncodePayload(const WalRecord& rec) {
-  std::string out;
-  PutU64(&out, rec.lsn);
-  out.push_back(static_cast<char>(rec.type));
+  ByteWriter w;
+  w.U64(rec.lsn);
+  w.U8(static_cast<uint8_t>(rec.type));
   switch (rec.type) {
     case RecordType::kBegin:
     case RecordType::kAbort:
-      PutU64(&out, rec.txn_id);
+      w.U64(rec.txn_id);
       break;
     case RecordType::kCommit:
-      PutU64(&out, rec.txn_id);
-      PutU64(&out, rec.next_handle);
+      w.U64(rec.txn_id);
+      w.U64(rec.next_handle);
       break;
     case RecordType::kInsert:
-      PutU64(&out, rec.txn_id);
-      PutString(&out, rec.table);
-      PutU64(&out, rec.handle);
-      PutRow(&out, rec.after);
+      w.U64(rec.txn_id);
+      w.Str(rec.table);
+      w.U64(rec.handle);
+      w.PutRow(rec.after);
       break;
     case RecordType::kDelete:
-      PutU64(&out, rec.txn_id);
-      PutString(&out, rec.table);
-      PutU64(&out, rec.handle);
-      PutRow(&out, rec.before);
+      w.U64(rec.txn_id);
+      w.Str(rec.table);
+      w.U64(rec.handle);
+      w.PutRow(rec.before);
       break;
     case RecordType::kUpdate:
-      PutU64(&out, rec.txn_id);
-      PutString(&out, rec.table);
-      PutU64(&out, rec.handle);
-      PutRow(&out, rec.before);
-      PutRow(&out, rec.after);
+      w.U64(rec.txn_id);
+      w.Str(rec.table);
+      w.U64(rec.handle);
+      w.PutRow(rec.before);
+      w.PutRow(rec.after);
       break;
     case RecordType::kDdl:
-      PutString(&out, rec.sql);
+      w.Str(rec.sql);
       break;
     case RecordType::kSnapshotHeader:
-      PutU64(&out, rec.covers_lsn);
-      PutU64(&out, rec.next_handle);
+      w.U64(rec.covers_lsn);
+      w.U64(rec.next_handle);
       break;
   }
-  return out;
+  return w.Take();
 }
 
-Status DecodePayload(std::string_view payload, WalRecord* out) {
-  PayloadReader r(payload);
-  *out = WalRecord();
-  SOPR_RETURN_NOT_OK(r.GetU64(&out->lsn));
-  uint8_t type = 0;
-  SOPR_RETURN_NOT_OK(r.GetU8(&type));
+namespace {
+
+/// The body of DecodePayload; its failures are the reader's
+/// kInvalidArgument, which DecodePayload reports as data loss.
+Status DecodeFields(std::string_view payload, WalRecord* out) {
+  ByteReader r(payload);
+  SOPR_ASSIGN_OR_RETURN(out->lsn, r.U64());
+  SOPR_ASSIGN_OR_RETURN(uint8_t type, r.U8());
   if (type < static_cast<uint8_t>(RecordType::kBegin) ||
       type > static_cast<uint8_t>(RecordType::kSnapshotHeader)) {
-    return Status::DataLoss("wal record: unknown type " +
-                            std::to_string(type));
+    return Status::InvalidArgument("unknown type " + std::to_string(type));
   }
   out->type = static_cast<RecordType>(type);
   switch (out->type) {
     case RecordType::kBegin:
-    case RecordType::kAbort:
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->txn_id));
+    case RecordType::kAbort: {
+      SOPR_ASSIGN_OR_RETURN(out->txn_id, r.U64());
       break;
-    case RecordType::kCommit:
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->txn_id));
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->next_handle));
+    }
+    case RecordType::kCommit: {
+      SOPR_ASSIGN_OR_RETURN(out->txn_id, r.U64());
+      SOPR_ASSIGN_OR_RETURN(out->next_handle, r.U64());
       break;
-    case RecordType::kInsert:
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->txn_id));
-      SOPR_RETURN_NOT_OK(r.GetString(&out->table));
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->handle));
-      SOPR_RETURN_NOT_OK(r.GetRow(&out->after));
+    }
+    case RecordType::kInsert: {
+      SOPR_ASSIGN_OR_RETURN(out->txn_id, r.U64());
+      SOPR_ASSIGN_OR_RETURN(out->table, r.Str());
+      SOPR_ASSIGN_OR_RETURN(out->handle, r.U64());
+      SOPR_ASSIGN_OR_RETURN(out->after, r.GetRow());
       break;
-    case RecordType::kDelete:
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->txn_id));
-      SOPR_RETURN_NOT_OK(r.GetString(&out->table));
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->handle));
-      SOPR_RETURN_NOT_OK(r.GetRow(&out->before));
+    }
+    case RecordType::kDelete: {
+      SOPR_ASSIGN_OR_RETURN(out->txn_id, r.U64());
+      SOPR_ASSIGN_OR_RETURN(out->table, r.Str());
+      SOPR_ASSIGN_OR_RETURN(out->handle, r.U64());
+      SOPR_ASSIGN_OR_RETURN(out->before, r.GetRow());
       break;
-    case RecordType::kUpdate:
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->txn_id));
-      SOPR_RETURN_NOT_OK(r.GetString(&out->table));
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->handle));
-      SOPR_RETURN_NOT_OK(r.GetRow(&out->before));
-      SOPR_RETURN_NOT_OK(r.GetRow(&out->after));
+    }
+    case RecordType::kUpdate: {
+      SOPR_ASSIGN_OR_RETURN(out->txn_id, r.U64());
+      SOPR_ASSIGN_OR_RETURN(out->table, r.Str());
+      SOPR_ASSIGN_OR_RETURN(out->handle, r.U64());
+      SOPR_ASSIGN_OR_RETURN(out->before, r.GetRow());
+      SOPR_ASSIGN_OR_RETURN(out->after, r.GetRow());
       break;
-    case RecordType::kDdl:
-      SOPR_RETURN_NOT_OK(r.GetString(&out->sql));
+    }
+    case RecordType::kDdl: {
+      SOPR_ASSIGN_OR_RETURN(out->sql, r.Str());
       break;
-    case RecordType::kSnapshotHeader:
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->covers_lsn));
-      SOPR_RETURN_NOT_OK(r.GetU64(&out->next_handle));
+    }
+    case RecordType::kSnapshotHeader: {
+      SOPR_ASSIGN_OR_RETURN(out->covers_lsn, r.U64());
+      SOPR_ASSIGN_OR_RETURN(out->next_handle, r.U64());
       break;
+    }
   }
   if (!r.AtEnd()) {
-    return Status::DataLoss("wal record: trailing bytes after " +
-                            std::string(RecordTypeName(out->type)) +
-                            " body");
+    return Status::InvalidArgument("trailing bytes after " +
+                                   std::string(RecordTypeName(out->type)) +
+                                   " body");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DecodePayload(std::string_view payload, WalRecord* out) {
+  *out = WalRecord();
+  // The checksum already passed, so a payload the codec cannot read is
+  // damaged data, not a bad argument.
+  Status decoded = DecodeFields(payload, out);
+  if (!decoded.ok()) {
+    return Status::DataLoss("wal record: " + decoded.message());
   }
   return Status::OK();
 }
 
 void AppendRecord(std::string* out, const WalRecord& rec) {
-  std::string payload = EncodePayload(rec);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32c(payload));
+  const std::string payload = EncodePayload(rec);
+  ByteWriter header;
+  header.U32(static_cast<uint32_t>(payload.size()));
+  header.U32(Crc32c(payload));
+  out->append(header.bytes());
   out->append(payload);
 }
 

@@ -41,7 +41,8 @@ namespace wal {
 ///
 /// str = u32 length + bytes. row = u32 arity + values; value = u8 type
 /// tag + scalar (bool: u8; int: u64 two's complement; double: 8 raw
-/// bytes; string: str; null: empty).
+/// bytes; string: str; null: empty) — the codec of common/byte_codec.h,
+/// shared with the wire protocol.
 enum class RecordType : uint8_t {
   kBegin = 1,
   kCommit = 2,

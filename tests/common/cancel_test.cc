@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -240,27 +239,6 @@ TEST(BackoffSleepTest, KillCutsARetrySleepShort) {
   Status st = backoff.Sleep("detached retry");
   killer.join();
   EXPECT_EQ(st.code(), StatusCode::kCancelled) << st;
-}
-
-TEST(BackoffSleepTest, RetryWithBackoffStopsRetryingWhenCancelled) {
-  // The retried operation keeps failing transiently; once the ambient
-  // context expires, RetryWithBackoff must surface the cancellation
-  // instead of the transient failure (and stop looping).
-  RetryPolicy policy;
-  policy.initial_delay = milliseconds(1);
-  policy.max_delay = milliseconds(1);
-  policy.jitter = 0.0;
-  Backoff backoff(policy);
-  CancelContext ctx;
-  ctx.AddDeadline(Deadline::After(milliseconds(10)), "transaction");
-  CancelScope scope(&ctx);
-  std::atomic<int> calls{0};
-  Status st = RetryWithBackoff(&backoff, [&] {
-    calls.fetch_add(1);
-    return Status::Unavailable("still torn");
-  });
-  EXPECT_EQ(st.code(), StatusCode::kTimeout) << st;
-  EXPECT_GE(calls.load(), 1);
 }
 
 }  // namespace

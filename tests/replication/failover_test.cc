@@ -531,9 +531,46 @@ TEST_F(FailoverTest, PromotionFencesAgainstALivePrimary) {
             StatusCode::kUnavailable);
   Result<PollResult> poll = follower->PollOnce();
   EXPECT_FALSE(poll.ok());
-  // The pin lives in the promoted engine's snapshot registry, so it is
-  // dropped while that engine is alive (see Follower::Promote).
+}
+
+TEST_F(FailoverTest, PromotionReleasesPinsSoTheEngineCanDieFirst) {
+  // A snapshot pinned before promotion may be dropped after the promoted
+  // engine is destroyed: Promote releases its pin while the registry it
+  // points into is still alive, so the late drop touches nothing.
+  std::string dir = MakeTempDir();
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Engine> primary,
+                         Engine::Open(DurableOptions(dir)));
+    ASSERT_OK(primary->Execute("create table t (a int)"));
+    ASSERT_OK(primary->Execute("insert into t values (1)"));
+  }  // the primary dies, releasing the directory lock
+
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Follower> follower,
+                       Follower::Open(MakeFollowerOptions(dir)));
+  ASSERT_OK(follower->CatchUp());
+  Follower::Snapshot pinned = follower->PinSnapshot();
+  ASSERT_GT(pinned.lsn(), 0u);
+  ASSERT_OK_AND_ASSIGN(QueryResult before, follower->QueryAt(
+      pinned, "select count(*) from t"));
+  EXPECT_EQ(before.rows[0].at(0).AsInt(), 1);
+
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Engine> engine, follower->Promote());
+  ASSERT_OK(engine->Execute("insert into t values (2)"));
+  EXPECT_EQ(follower->QueryAt(pinned, "select count(*) from t")
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+  // A pin taken after promotion is refused the same way.
+  Follower::Snapshot late = follower->PinSnapshot();
+  EXPECT_EQ(follower->QueryAt(late, "select count(*) from t")
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+
+  engine.reset();
   pinned = Follower::Snapshot();
+  late = Follower::Snapshot();
+  follower.reset();
 }
 
 }  // namespace

@@ -315,32 +315,6 @@ TEST(BackoffTest, MaxAttemptsBoundsShouldRetry) {
   EXPECT_EQ(retries, 3);
 }
 
-TEST(BackoffTest, RetryWithBackoffRetriesOnlyUnavailable) {
-  RetryPolicy policy;
-  policy.initial_delay = std::chrono::microseconds(1);
-  policy.max_delay = std::chrono::microseconds(2);
-  policy.max_attempts = 10;
-
-  Backoff backoff(policy);
-  int calls = 0;
-  Status ok = RetryWithBackoff(&backoff, [&calls]() -> Status {
-    ++calls;
-    if (calls < 4) return Status::Unavailable("not yet");
-    return Status::OK();
-  });
-  EXPECT_OK(ok);
-  EXPECT_EQ(calls, 4);
-
-  Backoff backoff2(policy);
-  calls = 0;
-  Status failed = RetryWithBackoff(&backoff2, [&calls]() -> Status {
-    ++calls;
-    return Status::DataLoss("permanent");
-  });
-  EXPECT_EQ(failed.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(calls, 1) << "non-transient failures must not be retried";
-}
-
 }  // namespace
 }  // namespace replication
 }  // namespace sopr
