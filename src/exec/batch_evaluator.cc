@@ -74,22 +74,6 @@ Status ResolveRef(const ColumnRefExpr& ref, BatchCtx& c, bool* in_batch,
   return Status::OK();
 }
 
-/// Position-dependent evaluation errors re-run through the scalar path
-/// for exact row-order error reporting; everything else (cancellation,
-/// timeouts, injected faults, lock trouble surfaced through subqueries)
-/// is position-independent or nondeterministic and propagates as is.
-bool ShouldFallback(StatusCode code) {
-  switch (code) {
-    case StatusCode::kTypeError:
-    case StatusCode::kExecutionError:
-    case StatusCode::kCatalogError:
-    case StatusCode::kInternal:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// The authoritative row-order re-run after an evaluation-class error.
 Status ScalarRerun(const Expr& expr, BatchCtx& c, const SelVec& sel,
                    TriVec* out) {
@@ -615,6 +599,18 @@ Status CEvalPred(const Expr& e, BatchCtx& c, const SelVec& sel, TriVec* out) {
 
 }  // namespace
 
+bool IsRowOrderError(StatusCode code) {
+  switch (code) {
+    case StatusCode::kTypeError:
+    case StatusCode::kExecutionError:
+    case StatusCode::kCatalogError:
+    case StatusCode::kInternal:
+      return true;
+    default:
+      return false;
+  }
+}
+
 Status EvaluatePredicateColumnar(const Expr& expr, Scope* scope,
                                  EvalContext& ctx, const RowBatch& batch,
                                  const ColumnSet& cols, const SelVec& sel,
@@ -627,7 +623,7 @@ Status EvaluatePredicateColumnar(const Expr& expr, Scope* scope,
   BatchCtx c{scope, &ctx, &batch, &cols};
   Status s = CEvalPred(expr, c, sel, out);
   if (s.ok()) return s;
-  if (!ShouldFallback(s.code())) return s;
+  if (!IsRowOrderError(s.code())) return s;
 
   // The batch pass hit an evaluation error, possibly out of row order
   // (kernels check whole lanes). Re-run the same positions row-at-a-time:

@@ -38,6 +38,15 @@ class ColumnSet {
   std::vector<Entry> entries_;
 };
 
+/// True for the position-dependent evaluation errors (type, execution,
+/// catalog, internal) whose identity depends on which row is evaluated
+/// first. The batch engine answers them by re-running row-at-a-time, so
+/// the error reported is the one the row path meets first. Everything
+/// else (cancellation, timeouts, injected faults, lock trouble surfaced
+/// through subqueries) is position-independent or nondeterministic and
+/// propagates as is.
+bool IsRowOrderError(StatusCode code);
+
 /// Evaluates `expr` as a predicate over every selected position of
 /// `batch`, writing one TriBool per entry of `sel` (parallel order) — the
 /// batch engine's only entry point. Where an expression subtree is

@@ -106,32 +106,6 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
-void ColumnVector::SliceFrom(const ColumnVector& src, size_t begin,
-                             size_t len) {
-  tag_ = src.tag_;
-  nulls_.assign(src.nulls_.begin() + begin, src.nulls_.begin() + begin + len);
-  has_nulls_ = false;
-  for (uint8_t b : nulls_) has_nulls_ |= b != 0;
-  i64_.clear();
-  f64_.clear();
-  str_.clear();
-  b8_.clear();
-  switch (tag_) {
-    case Tag::kInt64:
-      i64_.assign(src.i64_.begin() + begin, src.i64_.begin() + begin + len);
-      break;
-    case Tag::kDouble:
-      f64_.assign(src.f64_.begin() + begin, src.f64_.begin() + begin + len);
-      break;
-    case Tag::kString:
-      str_.assign(src.str_.begin() + begin, src.str_.begin() + begin + len);
-      break;
-    case Tag::kBool:
-      b8_.assign(src.b8_.begin() + begin, src.b8_.begin() + begin + len);
-      break;
-  }
-}
-
 bool BuildColumn(const std::vector<Row>& rows, size_t col,
                  ValueType declared, ColumnVector* out) {
   return BuildColumnFrom(

@@ -61,12 +61,6 @@ class ColumnVector {
   /// Re-reads position i as a Value (tests / debugging; not a hot path).
   Value GetValue(size_t i) const;
 
-  /// Rebuilds this vector as a copy of src's [begin, begin + len)
-  /// window — a flat copy of POD lanes (string entries still borrow from
-  /// the original rows). Windows whole-relation columns into per-chunk
-  /// vectors parallel to a RowBatch.
-  void SliceFrom(const ColumnVector& src, size_t begin, size_t len);
-
  private:
   Tag tag_ = Tag::kInt64;
   bool has_nulls_ = false;

@@ -21,19 +21,6 @@ namespace {
 /// without paying a check per row (docs/OVERLOAD.md).
 constexpr size_t kCancelCheckBatch = 1024;
 
-/// Mirrors the batch evaluator's fallback classification: these are
-/// row-position-dependent evaluation errors where the batch UPDATE
-/// re-runs the whole scan row-at-a-time so the reported error is the one
-/// the row path hits first (it interleaves predicate and assignment
-/// evaluation per row; batches evaluate the predicate stage first).
-/// Everything else (cancellation, timeouts, injected faults, lock
-/// trouble) propagates as is.
-bool IsEvalOrderingError(StatusCode code) {
-  return code == StatusCode::kTypeError ||
-         code == StatusCode::kExecutionError ||
-         code == StatusCode::kCatalogError || code == StatusCode::kInternal;
-}
-
 }  // namespace
 
 Result<Relation> DatabaseResolver::Resolve(const TableRef& ref) {
@@ -144,7 +131,193 @@ bool IsLegalGroupExpr(const Expr& expr,
   }
 }
 
+/// Appends every (binding, column) pair `expr` references at this scope
+/// level (not descending into subqueries) to `out`, without duplicates —
+/// the hot columns worth decomposing for a chunk.
+void CollectHotColumns(const Expr& expr, const Scope& scope,
+                       std::vector<std::pair<size_t, size_t>>* out) {
+  switch (expr.kind) {
+    case ExprKind::kColumnRef: {
+      const auto& ref = static_cast<const ColumnRefExpr&>(expr);
+      auto resolved = scope.ResolveColumn(ref.qualifier, ref.column);
+      // Unresolvable references error at evaluation; outer-scope
+      // references broadcast a single value — neither is a hot column.
+      if (!resolved.ok()) return;
+      for (size_t b = 0; b < scope.num_bindings(); ++b) {
+        if (resolved.value().binding != &scope.binding(b)) continue;
+        std::pair<size_t, size_t> key(b, resolved.value().column);
+        if (std::find(out->begin(), out->end(), key) == out->end()) {
+          out->push_back(key);
+        }
+        return;
+      }
+      return;
+    }
+    case ExprKind::kUnary:
+      CollectHotColumns(*static_cast<const UnaryExpr&>(expr).operand, scope,
+                        out);
+      return;
+    case ExprKind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(expr);
+      CollectHotColumns(*b.left, scope, out);
+      CollectHotColumns(*b.right, scope, out);
+      return;
+    }
+    case ExprKind::kInList: {
+      const auto& in = static_cast<const InListExpr&>(expr);
+      CollectHotColumns(*in.operand, scope, out);
+      for (const ExprPtr& item : in.items) {
+        CollectHotColumns(*item, scope, out);
+      }
+      return;
+    }
+    case ExprKind::kIsNull:
+      CollectHotColumns(*static_cast<const IsNullExpr&>(expr).operand, scope,
+                        out);
+      return;
+    case ExprKind::kBetween: {
+      const auto& bw = static_cast<const BetweenExpr&>(expr);
+      CollectHotColumns(*bw.operand, scope, out);
+      CollectHotColumns(*bw.low, scope, out);
+      CollectHotColumns(*bw.high, scope, out);
+      return;
+    }
+    default:
+      // Literals and aggregates reference no columns; subquery subtrees
+      // always run as scalar leaves, so their references stay cold.
+      return;
+  }
+}
+
+/// The batch engine's one chunk driver (docs/EXECUTION.md "Where chunks
+/// are formed"): FilterPositions' contract, chunk by chunk. At each chunk
+/// boundary it fires `exec.batch` and checks cancellation, decomposes the
+/// conjuncts' hot columns from the rows in hand, and narrows the selection
+/// vector conjunct by conjunct, so conjunct k only sees positions whose
+/// earlier conjuncts were all TRUE — the positions the row oracle
+/// evaluates it on.
+template <typename RowAt>
+Status MatchChunked(const std::vector<const Expr*>& conjuncts, Scope* scope,
+                    EvalContext& ctx, size_t n, const RowAt& row_at,
+                    std::vector<size_t>* keep) {
+  std::vector<std::pair<size_t, size_t>> hot;
+  for (const Expr* conjunct : conjuncts) {
+    CollectHotColumns(*conjunct, *scope, &hot);
+  }
+  std::vector<exec::ColumnVector> hot_storage(hot.size());
+  exec::RowBatch batch(scope->num_bindings());
+  exec::SelVec sel;
+  std::vector<TriBool> tri;
+  for (size_t start = 0; start < n; start += exec::kBatchRows) {
+    SOPR_FAILPOINT_RETURN("exec.batch");
+    SOPR_RETURN_NOT_OK(CheckCancel("batch boundary"));
+    const size_t len = std::min(exec::kBatchRows, n - start);
+    batch.Clear();
+    sel.clear();
+    for (size_t i = 0; i < len; ++i) {
+      batch.AppendAllNull();
+      for (size_t b = 0; b < scope->num_bindings(); ++b) {
+        batch.SetBack(b, row_at(start + i, b));
+      }
+      sel.push_back(static_cast<uint32_t>(i));
+    }
+    exec::ColumnSet colset;
+    for (size_t k = 0; k < hot.size(); ++k) {
+      const size_t b = hot[k].first;
+      const size_t col = hot[k].second;
+      const TableSchema& schema = *scope->binding(b).schema;
+      // A binding unbound at this stage (the other relations under a
+      // pushed filter) has no rows to decompose.
+      if (row_at(start, b) == nullptr || col >= schema.num_columns()) continue;
+      if (exec::BuildColumnFrom(
+              len,
+              [&](size_t i) -> const Row& { return *row_at(start + i, b); },
+              col, schema.columns()[col].type, &hot_storage[k])) {
+        colset.Add(b, col, &hot_storage[k]);
+      }
+    }
+    for (const Expr* conjunct : conjuncts) {
+      if (sel.empty()) break;
+      SOPR_RETURN_NOT_OK(exec::EvaluatePredicateColumnar(
+          *conjunct, scope, ctx, batch, colset, sel, &tri));
+      size_t kept = 0;
+      for (size_t i = 0; i < sel.size(); ++i) {
+        if (tri[i] == TriBool::kTrue) sel[kept++] = sel[i];
+      }
+      sel.resize(kept);
+    }
+    for (uint32_t pos : sel) keep->push_back(start + pos);
+  }
+  return Status::OK();
+}
+
+/// The row-at-a-time oracle for MatchChunked: the same contract, one
+/// position at a time through the scalar evaluator, stopping at the first
+/// conjunct that is not TRUE. It never enters the batch engine.
+template <typename RowAt>
+Status MatchRowwise(const std::vector<const Expr*>& conjuncts, Scope* scope,
+                    EvalContext& ctx, size_t n, const RowAt& row_at,
+                    std::vector<size_t>* keep) {
+  for (size_t i = 0; i < n; ++i) {
+    if (i % kCancelCheckBatch == 0) {
+      SOPR_RETURN_NOT_OK(CheckCancel("filter"));
+    }
+    for (size_t b = 0; b < scope->num_bindings(); ++b) {
+      scope->SetRow(b, row_at(i, b));
+    }
+    bool match = true;
+    for (const Expr* conjunct : conjuncts) {
+      SOPR_ASSIGN_OR_RETURN(TriBool t,
+                            EvaluatePredicate(*conjunct, *scope, ctx));
+      if (t != TriBool::kTrue) {
+        match = false;
+        break;
+      }
+    }
+    if (match) keep->push_back(i);
+  }
+  return Status::OK();
+}
+
+/// Compacts `v` to its entries at the ascending positions `keep`.
+template <typename T>
+void KeepPositions(const std::vector<size_t>& keep, std::vector<T>* v) {
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i] != i) (*v)[i] = std::move((*v)[keep[i]]);
+  }
+  v->erase(v->begin() + keep.size(), v->end());
+}
+
 }  // namespace
+
+template <typename RowAt>
+Status Executor::FilterPositions(const std::vector<const Expr*>& conjuncts,
+                                 Scope* scope, size_t n, const RowAt& row_at,
+                                 std::vector<size_t>* keep) {
+  EvalContext ctx;
+  ctx.runner = this;
+  Status s = options_.batch && !conjuncts.empty()
+                 ? MatchChunked(conjuncts, scope, ctx, n, row_at, keep)
+                 : MatchRowwise(conjuncts, scope, ctx, n, row_at, keep);
+  for (size_t b = 0; b < scope->num_bindings(); ++b) {
+    scope->SetRow(b, nullptr);
+  }
+  return s;
+}
+
+Status Executor::MatchTargets(
+    const Expr* where, Scope* scope,
+    const std::vector<std::pair<TupleHandle, Row>>& snapshot,
+    std::vector<size_t>* matches) {
+  std::vector<const Expr*> conjuncts;
+  if (where != nullptr) conjuncts.push_back(where);
+  return FilterPositions(
+      conjuncts, scope, snapshot.size(),
+      [&snapshot](size_t i, size_t) -> const Row* {
+        return &snapshot[i].second;
+      },
+      matches);
+}
 
 Result<QueryResult> Executor::RunSubquery(const SelectStmt& select,
                                           const Scope* outer) {
@@ -232,31 +405,18 @@ Result<QueryResult> Executor::ExecuteSelect(
         scope.AddBinding(stmt.from[i].binding_name(), relations[i].schema));
   }
 
-  EvalContext ctx;
-  ctx.runner = this;
-
   // 1. Pushed filters: shrink each relation before joining.
   for (const QueryPlan::PushedFilter& filter : plan.pushed()) {
     Relation& rel = relations[filter.binding];
-    if (options_.batch) {
-      SOPR_RETURN_NOT_OK(FilterRelationColumnar(*filter.conjunct, &scope,
-                                                filter.binding, &rel));
-      continue;
-    }
-    std::vector<Row> kept_rows;
-    std::vector<TupleHandle> kept_handles;
-    for (size_t r = 0; r < rel.rows.size(); ++r) {
-      scope.SetRow(filter.binding, &rel.rows[r]);
-      SOPR_ASSIGN_OR_RETURN(TriBool t,
-                            EvaluatePredicate(*filter.conjunct, scope, ctx));
-      if (t == TriBool::kTrue) {
-        kept_rows.push_back(std::move(rel.rows[r]));
-        kept_handles.push_back(rel.handles[r]);
-      }
-    }
-    rel.rows = std::move(kept_rows);
-    rel.handles = std::move(kept_handles);
-    scope.SetRow(filter.binding, nullptr);
+    std::vector<size_t> keep;
+    SOPR_RETURN_NOT_OK(FilterPositions(
+        {filter.conjunct}, &scope, rel.rows.size(),
+        [&](size_t i, size_t b) -> const Row* {
+          return b == filter.binding ? &rel.rows[i] : nullptr;
+        },
+        &keep));
+    KeepPositions(keep, &rel.rows);
+    KeepPositions(keep, &rel.handles);
   }
 
   // 2. Join in greedy left-deep order; hash join where edges exist.
@@ -401,90 +561,12 @@ Result<QueryResult> Executor::ExecuteSelect(
   }
 
   // 3. Residual conjuncts over full combos.
-  if (!residual.empty() && options_.batch) {
-    // Batch-at-a-time: each conjunct narrows the chunk's selection
-    // vector, so conjunct k only sees combos whose earlier conjuncts
-    // were all true — the same pairs the row path evaluates.
-    std::vector<Combo> filtered;
-    filtered.reserve(combos.size());
-    exec::RowBatch batch(scope.num_bindings());
-    // Hot columns across every residual conjunct, decomposed per chunk
-    // from the combo rows.
-    std::vector<std::pair<size_t, size_t>> hot;
-    for (const Expr* conjunct : residual) {
-      CollectHotColumns(*conjunct, scope, &hot);
-    }
-    std::vector<exec::ColumnVector> hot_storage(hot.size());
-    for (size_t start = 0; start < combos.size();
-         start += exec::kBatchRows) {
-      SOPR_FAILPOINT_RETURN("exec.batch");
-      SOPR_RETURN_NOT_OK(CheckCancel("batch boundary"));
-      const size_t end = std::min(start + exec::kBatchRows, combos.size());
-      batch.Clear();
-      exec::SelVec sel;
-      sel.reserve(end - start);
-      for (size_t i = start; i < end; ++i) {
-        batch.AppendAllNull();
-        for (size_t b = 0; b < combos[i].rows.size(); ++b) {
-          batch.SetBack(b, combos[i].rows[b]);
-        }
-        sel.push_back(static_cast<uint32_t>(i - start));
-      }
-      exec::ColumnSet colset;
-      for (size_t k = 0; k < hot.size(); ++k) {
-        const size_t b = hot[k].first;
-        const size_t col = hot[k].second;
-        if (col >= relations[b].schema->num_columns()) continue;
-        if (exec::BuildColumnFrom(
-                end - start,
-                [&](size_t i) -> const Row& {
-                  return *combos[start + i].rows[b];
-                },
-                col, relations[b].schema->columns()[col].type,
-                &hot_storage[k])) {
-          colset.Add(b, col, &hot_storage[k]);
-        }
-      }
-      for (const Expr* conjunct : residual) {
-        if (sel.empty()) break;
-        std::vector<TriBool> tri;
-        SOPR_RETURN_NOT_OK(exec::EvaluatePredicateColumnar(
-            *conjunct, &scope, ctx, batch, colset, sel, &tri));
-        exec::SelVec next_sel;
-        next_sel.reserve(sel.size());
-        for (size_t i = 0; i < sel.size(); ++i) {
-          if (tri[i] == TriBool::kTrue) next_sel.push_back(sel[i]);
-        }
-        sel = std::move(next_sel);
-      }
-      for (uint32_t pos : sel) {
-        filtered.push_back(std::move(combos[start + pos]));
-      }
-    }
-    combos = std::move(filtered);
-  } else if (!residual.empty()) {
-    std::vector<Combo> filtered;
-    filtered.reserve(combos.size());
-    size_t evaluated = 0;
-    for (Combo& combo : combos) {
-      if (evaluated++ % kCancelCheckBatch == 0) {
-        SOPR_RETURN_NOT_OK(CheckCancel("filter"));
-      }
-      for (size_t i = 0; i < relations.size(); ++i) {
-        scope.SetRow(i, combo.rows[i]);
-      }
-      bool keep = true;
-      for (const Expr* conjunct : residual) {
-        SOPR_ASSIGN_OR_RETURN(TriBool t,
-                              EvaluatePredicate(*conjunct, scope, ctx));
-        if (t != TriBool::kTrue) {
-          keep = false;
-          break;
-        }
-      }
-      if (keep) filtered.push_back(std::move(combo));
-    }
-    combos = std::move(filtered);
+  if (!residual.empty()) {
+    std::vector<size_t> keep;
+    SOPR_RETURN_NOT_OK(FilterPositions(
+        residual, &scope, combos.size(),
+        [&combos](size_t i, size_t b) { return combos[i].rows[b]; }, &keep));
+    KeepPositions(keep, &combos);
   }
 
   // 4. §5.1 select tracking over the surviving combos.
@@ -727,175 +809,10 @@ Status Executor::ApplyOrderAndDistinct(const SelectStmt& stmt,
   return Status::OK();
 }
 
-void Executor::CollectHotColumns(const Expr& expr, const Scope& scope,
-                                 std::vector<std::pair<size_t, size_t>>* out) {
-  switch (expr.kind) {
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(expr);
-      auto resolved = scope.ResolveColumn(ref.qualifier, ref.column);
-      // Unresolvable references error at evaluation; outer-scope
-      // references broadcast a single value — neither is a hot column.
-      if (!resolved.ok()) return;
-      for (size_t b = 0; b < scope.num_bindings(); ++b) {
-        if (resolved.value().binding != &scope.binding(b)) continue;
-        std::pair<size_t, size_t> key(b, resolved.value().column);
-        if (std::find(out->begin(), out->end(), key) == out->end()) {
-          out->push_back(key);
-        }
-        return;
-      }
-      return;
-    }
-    case ExprKind::kUnary:
-      CollectHotColumns(*static_cast<const UnaryExpr&>(expr).operand, scope,
-                        out);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(expr);
-      CollectHotColumns(*b.left, scope, out);
-      CollectHotColumns(*b.right, scope, out);
-      return;
-    }
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(expr);
-      CollectHotColumns(*in.operand, scope, out);
-      for (const ExprPtr& item : in.items) {
-        CollectHotColumns(*item, scope, out);
-      }
-      return;
-    }
-    case ExprKind::kIsNull:
-      CollectHotColumns(*static_cast<const IsNullExpr&>(expr).operand, scope,
-                        out);
-      return;
-    case ExprKind::kBetween: {
-      const auto& bw = static_cast<const BetweenExpr&>(expr);
-      CollectHotColumns(*bw.operand, scope, out);
-      CollectHotColumns(*bw.low, scope, out);
-      CollectHotColumns(*bw.high, scope, out);
-      return;
-    }
-    default:
-      // Literals and aggregates reference no columns; subquery subtrees
-      // always run as scalar leaves, so their references stay cold.
-      return;
-  }
-}
-
-Status Executor::FilterRelationColumnar(const Expr& conjunct, Scope* scope,
-                                        size_t binding, Relation* rel) {
-  std::vector<std::pair<size_t, size_t>> hot;
-  CollectHotColumns(conjunct, *scope, &hot);
-  EvalContext ctx;
-  ctx.runner = this;
-  std::vector<Row> kept_rows;
-  std::vector<TupleHandle> kept_handles;
-  exec::RowBatch batch(scope->num_bindings());
-  std::vector<exec::ColumnVector> hot_storage(hot.size());
-  for (size_t start = 0; start < rel->rows.size();
-       start += exec::kBatchRows) {
-    SOPR_FAILPOINT_RETURN("exec.batch");
-    SOPR_RETURN_NOT_OK(CheckCancel("batch boundary"));
-    const size_t end = std::min(start + exec::kBatchRows, rel->rows.size());
-    batch.Clear();
-    exec::SelVec sel;
-    sel.reserve(end - start);
-    for (size_t r = start; r < end; ++r) {
-      batch.AppendAllNull();
-      batch.SetBack(binding, &rel->rows[r]);
-      sel.push_back(static_cast<uint32_t>(r - start));
-    }
-    exec::ColumnSet colset;
-    for (size_t k = 0; k < hot.size(); ++k) {
-      // A pushed filter only references its own binding, but resolution
-      // through the full scope can surface others — skip them.
-      if (hot[k].first != binding) continue;
-      const size_t col = hot[k].second;
-      if (col >= rel->schema->num_columns()) continue;
-      if (exec::BuildColumnFrom(
-              end - start,
-              [&](size_t i) -> const Row& { return rel->rows[start + i]; },
-              col, rel->schema->columns()[col].type, &hot_storage[k])) {
-        colset.Add(binding, col, &hot_storage[k]);
-      }
-    }
-    std::vector<TriBool> tri;
-    SOPR_RETURN_NOT_OK(exec::EvaluatePredicateColumnar(
-        conjunct, scope, ctx, batch, colset, sel, &tri));
-    for (size_t i = 0; i < sel.size(); ++i) {
-      if (tri[i] != TriBool::kTrue) continue;
-      kept_rows.push_back(std::move(rel->rows[start + sel[i]]));
-      kept_handles.push_back(rel->handles[start + sel[i]]);
-    }
-  }
-  rel->rows = std::move(kept_rows);
-  rel->handles = std::move(kept_handles);
-  for (size_t b = 0; b < scope->num_bindings(); ++b) {
-    scope->SetRow(b, nullptr);
-  }
-  return Status::OK();
-}
-
-Status Executor::MatchSnapshotColumnar(
-    const Expr& where, Scope* scope,
-    const std::vector<std::pair<TupleHandle, Row>>& snapshot,
-    const std::vector<size_t>& hot_cols,
-    const std::vector<exec::ColumnVector>& cols,
-    const std::vector<char>& built, std::vector<char>* matches) {
-  EvalContext ctx;
-  ctx.runner = this;
-  matches->assign(snapshot.size(), 0);
-  exec::RowBatch batch(scope->num_bindings());
-  std::vector<exec::ColumnVector> window(hot_cols.size());
-  for (size_t start = 0; start < snapshot.size();
-       start += exec::kBatchRows) {
-    SOPR_FAILPOINT_RETURN("exec.batch");
-    SOPR_RETURN_NOT_OK(CheckCancel("batch boundary"));
-    const size_t end = std::min(start + exec::kBatchRows, snapshot.size());
-    batch.Clear();
-    exec::SelVec sel;
-    sel.reserve(end - start);
-    for (size_t r = start; r < end; ++r) {
-      batch.AppendAllNull();
-      batch.SetBack(0, &snapshot[r].second);
-      sel.push_back(static_cast<uint32_t>(r - start));
-    }
-    exec::ColumnSet colset;
-    for (size_t k = 0; k < hot_cols.size() && k < built.size(); ++k) {
-      if (!built[k]) continue;
-      window[k].SliceFrom(cols[k], start, end - start);
-      colset.Add(0, hot_cols[k], &window[k]);
-    }
-    std::vector<TriBool> tri;
-    SOPR_RETURN_NOT_OK(exec::EvaluatePredicateColumnar(
-        where, scope, ctx, batch, colset, sel, &tri));
-    for (size_t i = 0; i < sel.size(); ++i) {
-      (*matches)[start + sel[i]] = tri[i] == TriBool::kTrue ? 1 : 0;
-    }
-  }
-  return Status::OK();
-}
-
 Status Executor::SnapshotForDml(
     const Table& table, const std::string& table_name, const Expr* where,
     const TableSchema& schema,
-    std::vector<std::pair<TupleHandle, Row>>* snapshot,
-    const std::vector<size_t>* hot_cols,
-    std::vector<exec::ColumnVector>* cols, std::vector<char>* built) {
-  const bool columnar = hot_cols != nullptr && !hot_cols->empty() &&
-                        cols != nullptr && built != nullptr;
-  auto decompose = [&]() {
-    cols->resize(hot_cols->size());
-    built->assign(hot_cols->size(), 0);
-    for (size_t k = 0; k < hot_cols->size(); ++k) {
-      const size_t col = (*hot_cols)[k];
-      if (col >= schema.num_columns()) continue;
-      (*built)[k] = exec::BuildColumnFrom(
-          snapshot->size(),
-          [&](size_t i) -> const Row& { return (*snapshot)[i].second; }, col,
-          schema.columns()[col].type, &(*cols)[k]);
-    }
-  };
+    std::vector<std::pair<TupleHandle, Row>>* snapshot) {
   if (options_.optimize && where != nullptr) {
     if (auto hint = FindEqLiteral(where, schema)) {
       if (table.GetIndex(hint->first) != nullptr) {
@@ -912,7 +829,6 @@ Status Executor::SnapshotForDml(
           if (!row.ok()) continue;
           snapshot->emplace_back(h, std::move(row).value());
         }
-        if (columnar) decompose();
         return Status::OK();
       }
     }
@@ -921,12 +837,7 @@ Status Executor::SnapshotForDml(
   // (full phantom protection for this scan-then-mutate).
   SOPR_RETURN_NOT_OK(db_->LockForWriteScan(table_name));
   snapshot->reserve(table.size());
-  if (columnar) {
-    // Copy and decompose under one shared-latch acquisition.
-    table.CopyRowsColumnar(snapshot, *hot_cols, cols, built);
-  } else {
-    table.CopyRows(snapshot);
-  }
+  table.CopyRows(snapshot);
   return Status::OK();
 }
 
@@ -981,58 +892,20 @@ Result<DmlEffect> Executor::ExecuteDelete(const DeleteStmt& stmt) {
   DmlEffect effect;
   effect.table = ToLower(stmt.table);
 
-  // Scope first: hot-column collection needs it before the snapshot so
-  // the full-scan path can decompose under the same latch as the copy.
-  Scope scope;
-  SOPR_RETURN_NOT_OK(scope.AddBinding(ToLower(stmt.table), &schema));
-  EvalContext ctx;
-  ctx.runner = this;
-
-  std::vector<size_t> hot_cols;
-  if (stmt.where != nullptr && options_.batch) {
-    std::vector<std::pair<size_t, size_t>> hot;
-    CollectHotColumns(*stmt.where, scope, &hot);
-    for (const auto& [b, col] : hot) {
-      if (b == 0) hot_cols.push_back(col);
-    }
-  }
-
   // Snapshot, then evaluate the predicate against the pre-statement
   // state. A `column = literal` conjunct with an index narrows the
   // snapshot; the full predicate is still evaluated per row.
   std::vector<std::pair<TupleHandle, Row>> snapshot;
-  std::vector<exec::ColumnVector> snap_cols;
-  std::vector<char> snap_built;
-  SOPR_RETURN_NOT_OK(SnapshotForDml(*table, stmt.table, stmt.where.get(),
-                                    schema, &snapshot, &hot_cols, &snap_cols,
-                                    &snap_built));
-
-  if (stmt.where != nullptr && options_.batch) {
-    std::vector<char> matches;
-    SOPR_RETURN_NOT_OK(MatchSnapshotColumnar(*stmt.where, &scope, snapshot,
-                                             hot_cols, snap_cols, snap_built,
-                                             &matches));
-    for (size_t r = 0; r < snapshot.size(); ++r) {
-      if (matches[r]) {
-        effect.deleted.emplace_back(snapshot[r].first,
-                                    std::move(snapshot[r].second));
-      }
-    }
-  } else {
-    size_t scanned = 0;
-    for (auto& [handle, row] : snapshot) {
-      if (scanned++ % kCancelCheckBatch == 0) {
-        SOPR_RETURN_NOT_OK(CheckCancel("delete scan"));
-      }
-      bool match = true;
-      if (stmt.where != nullptr) {
-        scope.SetRow(0, &row);
-        SOPR_ASSIGN_OR_RETURN(TriBool t,
-                              EvaluatePredicate(*stmt.where, scope, ctx));
-        match = (t == TriBool::kTrue);
-      }
-      if (match) effect.deleted.emplace_back(handle, std::move(row));
-    }
+  SOPR_RETURN_NOT_OK(
+      SnapshotForDml(*table, stmt.table, stmt.where.get(), schema, &snapshot));
+  Scope scope;
+  SOPR_RETURN_NOT_OK(scope.AddBinding(ToLower(stmt.table), &schema));
+  std::vector<size_t> matches;
+  SOPR_RETURN_NOT_OK(
+      MatchTargets(stmt.where.get(), &scope, snapshot, &matches));
+  for (size_t r : matches) {
+    effect.deleted.emplace_back(snapshot[r].first,
+                                std::move(snapshot[r].second));
   }
 
   for (const auto& [handle, row] : effect.deleted) {
@@ -1061,92 +934,64 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
     assigned_cols.push_back(*idx);
   }
 
+  std::vector<std::pair<TupleHandle, Row>> snapshot;
+  SOPR_RETURN_NOT_OK(
+      SnapshotForDml(*table, stmt.table, stmt.where.get(), schema, &snapshot));
   Scope scope;
   SOPR_RETURN_NOT_OK(scope.AddBinding(ToLower(stmt.table), &schema));
   EvalContext ctx;
   ctx.runner = this;
 
-  std::vector<size_t> hot_cols;
-  if (stmt.where != nullptr && options_.batch) {
-    std::vector<std::pair<size_t, size_t>> hot;
-    CollectHotColumns(*stmt.where, scope, &hot);
-    for (const auto& [b, col] : hot) {
-      if (b == 0) hot_cols.push_back(col);
-    }
-  }
-
-  std::vector<std::pair<TupleHandle, Row>> snapshot;
-  std::vector<exec::ColumnVector> snap_cols;
-  std::vector<char> snap_built;
-  SOPR_RETURN_NOT_OK(SnapshotForDml(*table, stmt.table, stmt.where.get(),
-                                    schema, &snapshot, &hot_cols, &snap_cols,
-                                    &snap_built));
-
+  // Evaluates the assignments over one matched target and records the
+  // pre-image; the new rows are applied once every target is known.
   std::vector<std::pair<TupleHandle, Row>> new_rows;
-  bool batch_done = false;
-  if (stmt.where != nullptr && options_.batch) {
-    std::vector<char> matches;
-    Status s = MatchSnapshotColumnar(*stmt.where, &scope, snapshot, hot_cols,
-                                     snap_cols, snap_built, &matches);
-    if (s.ok()) {
-      // Predicate stage clean: assignment evaluation below visits the
-      // same rows in the same order as the row path, so any assignment
-      // error already matches it exactly.
-      for (size_t r = 0; r < snapshot.size(); ++r) {
-        if (!matches[r]) continue;
-        auto& [handle, row] = snapshot[r];
-        scope.SetRow(0, &row);
-        Row new_row = row;
-        for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-          SOPR_ASSIGN_OR_RETURN(
-              Value v, Evaluate(*stmt.assignments[i].value, scope, ctx));
-          new_row.at(assigned_cols[i]) = std::move(v);
-        }
-        new_row = CoerceRow(std::move(new_row), schema);
-
-        DmlEffect::UpdatedTuple updated;
-        updated.handle = handle;
-        updated.columns = assigned_cols;
-        updated.old_row = std::move(row);
-        effect.updated.push_back(std::move(updated));
-        new_rows.emplace_back(handle, std::move(new_row));
-      }
-      batch_done = true;
-    } else if (!IsEvalOrderingError(s.code())) {
-      return s;
-    }
-    // An evaluation error in the predicate stage falls through to the
-    // full row-at-a-time scan: the row path may hit an assignment error
-    // on an earlier row first, and that is the authoritative outcome.
-  }
-  size_t scanned = 0;
-  for (auto& [handle, row] : snapshot) {
-    if (batch_done) break;
-    if (scanned++ % kCancelCheckBatch == 0) {
-      SOPR_RETURN_NOT_OK(CheckCancel("update scan"));
-    }
-    scope.SetRow(0, &row);
-    bool match = true;
-    if (stmt.where != nullptr) {
-      SOPR_ASSIGN_OR_RETURN(TriBool t,
-                            EvaluatePredicate(*stmt.where, scope, ctx));
-      match = (t == TriBool::kTrue);
-    }
-    if (!match) continue;
-    Row new_row = row;
+  auto assign = [&](std::pair<TupleHandle, Row>& target) -> Status {
+    scope.SetRow(0, &target.second);
+    Row new_row = target.second;
     for (size_t i = 0; i < stmt.assignments.size(); ++i) {
       SOPR_ASSIGN_OR_RETURN(
           Value v, Evaluate(*stmt.assignments[i].value, scope, ctx));
       new_row.at(assigned_cols[i]) = std::move(v);
     }
-    new_row = CoerceRow(std::move(new_row), schema);
-
     DmlEffect::UpdatedTuple updated;
-    updated.handle = handle;
+    updated.handle = target.first;
     updated.columns = assigned_cols;
-    updated.old_row = std::move(row);
+    updated.old_row = std::move(target.second);
     effect.updated.push_back(std::move(updated));
-    new_rows.emplace_back(handle, std::move(new_row));
+    new_rows.emplace_back(target.first,
+                          CoerceRow(std::move(new_row), schema));
+    return Status::OK();
+  };
+
+  bool matched = false;
+  if (stmt.where != nullptr && options_.batch) {
+    // Batch: match every target first, then assign. With a clean
+    // predicate stage the assignments visit the same rows in the same
+    // order as the row loop, so any assignment error already matches it.
+    std::vector<size_t> matches;
+    Status s = MatchTargets(stmt.where.get(), &scope, snapshot, &matches);
+    if (s.ok()) {
+      for (size_t r : matches) SOPR_RETURN_NOT_OK(assign(snapshot[r]));
+      matched = true;
+    } else if (!exec::IsRowOrderError(s.code())) {
+      return s;
+    }
+    // A row-order-class error in the predicate stage falls through to the
+    // row loop: it may hit an assignment error on an earlier row first,
+    // and that is the authoritative outcome.
+  }
+  // Row at a time: predicate, then assignment, per row.
+  for (size_t r = 0; r < snapshot.size() && !matched; ++r) {
+    if (r % kCancelCheckBatch == 0) {
+      SOPR_RETURN_NOT_OK(CheckCancel("update scan"));
+    }
+    if (stmt.where != nullptr) {
+      scope.SetRow(0, &snapshot[r].second);
+      SOPR_ASSIGN_OR_RETURN(TriBool t,
+                            EvaluatePredicate(*stmt.where, scope, ctx));
+      if (t != TriBool::kTrue) continue;
+    }
+    SOPR_RETURN_NOT_OK(assign(snapshot[r]));
   }
 
   for (auto& [handle, new_row] : new_rows) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/column_vector.h"
 #include "expr/evaluator.h"
 #include "query/planner.h"
 #include "sql/ast.h"
@@ -112,15 +111,9 @@ struct ExecOptions {
 class Executor : public SubqueryRunner {
  public:
   /// `db` may be mutated by DML; `resolver` supplies FROM relations
-  /// (including transition tables when running inside a rule). When
-  /// `optimize` is true (default), WHERE conjuncts are pushed down and
-  /// `a.x = b.y` predicates run as hash equijoins; when false, the plain
-  /// cross-product-then-filter pipeline runs (used for differential
-  /// testing and the optimizer ablation benchmark).
-  Executor(Database* db, TableResolver* resolver, bool optimize = true)
-      : Executor(db, resolver, ExecOptions{.optimize = optimize}) {}
-
-  Executor(Database* db, TableResolver* resolver, const ExecOptions& options)
+  /// (including transition tables when running inside a rule).
+  Executor(Database* db, TableResolver* resolver,
+           const ExecOptions& options = {})
       : db_(db), resolver_(resolver), options_(options) {}
 
   /// Runs a select. `outer` provides correlation bindings for subqueries.
@@ -162,47 +155,31 @@ class Executor : public SubqueryRunner {
   /// when `where` has a `column = literal` conjunct and one exists. With
   /// record locking enabled, candidates are X-locked before they are
   /// copied (the table itself when the predicate is unindexed).
-  /// When `hot_cols` is non-null and non-empty, the snapshot's hot
-  /// columns are also decomposed into `cols` (parallel to `hot_cols`,
-  /// success flags in `built`) — under the same latch acquisition on the
-  /// full-scan path (Table::CopyRowsColumnar), after the per-candidate
-  /// copy loop on the indexed path.
   Status SnapshotForDml(const Table& table, const std::string& table_name,
                         const Expr* where, const TableSchema& schema,
-                        std::vector<std::pair<TupleHandle, Row>>* snapshot,
-                        const std::vector<size_t>* hot_cols = nullptr,
-                        std::vector<exec::ColumnVector>* cols = nullptr,
-                        std::vector<char>* built = nullptr);
+                        std::vector<std::pair<TupleHandle, Row>>* snapshot);
 
   /// Coerces int literals into double columns so stored types match the
   /// schema exactly.
   static Row CoerceRow(Row row, const TableSchema& schema);
 
-  /// Appends every (binding, column) pair `expr` references at this
-  /// scope level (not descending into subqueries) to `out`, without
-  /// duplicates — the hot columns worth decomposing for a batch.
-  static void CollectHotColumns(const Expr& expr, const Scope& scope,
-                                std::vector<std::pair<size_t, size_t>>* out);
+  /// Appends to `keep` the positions in [0, n) where every conjunct is
+  /// TRUE, in ascending order. `row_at(i, b)` is the row that binding `b`
+  /// of `scope` holds at position i, or nullptr where the binding is not
+  /// bound at this stage. With batch execution on (and at least one
+  /// conjunct) the batch engine's one chunk driver runs; otherwise the
+  /// row-at-a-time oracle does. Leaves every row of `scope` unset.
+  template <typename RowAt>
+  Status FilterPositions(const std::vector<const Expr*>& conjuncts,
+                         Scope* scope, size_t n, const RowAt& row_at,
+                         std::vector<size_t>* keep);
 
-  /// Batch pushed-filter: evaluates `conjunct` over binding `binding` of
-  /// `rel` chunk by chunk, with the conjunct's hot columns decomposed per
-  /// chunk (exec::EvaluatePredicateColumnar), and compacts `rel` to the
-  /// rows where it is true. Fires the `exec.batch` failpoint and checks
-  /// cancellation at every chunk boundary.
-  Status FilterRelationColumnar(const Expr& conjunct, Scope* scope,
-                                size_t binding, Relation* rel);
-
-  /// Batch DML predicate scan: evaluates `where` over the snapshot rows
-  /// chunk by chunk and sets `matches[i]` for rows where it is true. The
-  /// hot columns come decomposed over the whole snapshot (`cols`/`built`
-  /// from SnapshotForDml, parallel to `hot_cols`) and are windowed per
-  /// chunk.
-  Status MatchSnapshotColumnar(
-      const Expr& where, Scope* scope,
-      const std::vector<std::pair<TupleHandle, Row>>& snapshot,
-      const std::vector<size_t>& hot_cols,
-      const std::vector<exec::ColumnVector>& cols,
-      const std::vector<char>& built, std::vector<char>* matches);
+  /// DELETE/UPDATE target matching: the positions of `snapshot` whose row
+  /// satisfies `where` (every position when `where` is null). `scope`
+  /// binds the target table alone.
+  Status MatchTargets(const Expr* where, Scope* scope,
+                      const std::vector<std::pair<TupleHandle, Row>>& snapshot,
+                      std::vector<size_t>* matches);
 
   Database* db_;
   TableResolver* resolver_;

@@ -330,33 +330,17 @@ Status RuleEngine::RunOps(const std::vector<const Stmt*>& ops,
       SOPR_RETURN_NOT_OK(AbortTransaction());
       return deadline;
     }
-    if (op->kind == StmtKind::kSelect) {
-      std::vector<SelectedTuple> selected;
-      auto result = executor.ExecuteSelect(
-          static_cast<const SelectStmt&>(*op), nullptr,
-          options_.track_selects ? &selected : nullptr);
-      if (!result.ok()) {
-        SOPR_RETURN_NOT_OK(AbortTransaction());
-        return result.status();
-      }
-      if (trace != nullptr) {
-        trace->retrieved.push_back(std::move(result).value());
-      }
-      if (options_.track_selects) frame->pending_block.ApplySelect(selected);
-      continue;
-    }
     if (op->kind == StmtKind::kProcessRules) {
       SOPR_RETURN_NOT_OK(AbortTransaction());
       return Status::InvalidArgument(
           "'process rules' is only valid inside a full operation block "
           "(use ProcessRules() with the explicit transaction API)");
     }
-    auto effect = executor.ExecuteDml(*op);
-    if (!effect.ok()) {
+    Status s = ExecuteOp(executor, *op, &frame->pending_block, trace);
+    if (!s.ok()) {
       SOPR_RETURN_NOT_OK(AbortTransaction());
-      return effect.status();
+      return s;
     }
-    frame->pending_block.ApplyOp(effect.value());
   }
   Status exit = SOPR_FAILPOINT("rules.block.post");
   if (!exit.ok()) {
@@ -575,32 +559,30 @@ Status RuleEngine::ExecuteAction(const Rule& rule, const TransInfo& info,
       }
       continue;
     }
-    if (op->kind == StmtKind::kSelect) {
-      std::vector<SelectedTuple> selected;
-      auto result = executor.ExecuteSelect(
-          static_cast<const SelectStmt&>(*op), nullptr,
-          options_.track_selects ? &selected : nullptr);
-      if (!result.ok()) {
-        SOPR_RETURN_NOT_OK(AbortTransaction());
-        return Status(result.status().code(),
-                      "rule " + rule.name() +
-                          " action failed: " + result.status().message());
-      }
-      if (trace != nullptr) {
-        trace->retrieved.push_back(std::move(result).value());
-      }
-      if (options_.track_selects) out->ApplySelect(selected);
-      continue;
-    }
-    auto effect = executor.ExecuteDml(*op);
-    if (!effect.ok()) {
+    Status s = ExecuteOp(executor, *op, out, trace);
+    if (!s.ok()) {
       SOPR_RETURN_NOT_OK(AbortTransaction());
-      return Status(effect.status().code(),
-                    "rule " + rule.name() +
-                        " action failed: " + effect.status().message());
+      return Status(s.code(),
+                    "rule " + rule.name() + " action failed: " + s.message());
     }
-    out->ApplyOp(effect.value());
   }
+  return Status::OK();
+}
+
+Status RuleEngine::ExecuteOp(Executor& executor, const Stmt& op,
+                             TransInfo* out, ExecutionTrace* trace) {
+  if (op.kind == StmtKind::kSelect) {
+    std::vector<SelectedTuple> selected;
+    SOPR_ASSIGN_OR_RETURN(
+        QueryResult result,
+        executor.ExecuteSelect(static_cast<const SelectStmt&>(op), nullptr,
+                               options_.track_selects ? &selected : nullptr));
+    if (trace != nullptr) trace->retrieved.push_back(std::move(result));
+    if (options_.track_selects) out->ApplySelect(selected);
+    return Status::OK();
+  }
+  SOPR_ASSIGN_OR_RETURN(DmlEffect effect, executor.ExecuteDml(op));
+  out->ApplyOp(effect);
   return Status::OK();
 }
 

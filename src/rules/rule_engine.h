@@ -385,6 +385,12 @@ class RuleEngine {
   Status ExecuteAction(const Rule& rule, const TransInfo& info,
                        TransInfo* out, ExecutionTrace* trace);
 
+  /// Runs one select or DML operation of an external block or a rule
+  /// action, folding its affected set (and, with track_selects, the
+  /// tuples a select read) into `out` and a select's result into `trace`.
+  Status ExecuteOp(Executor& executor, const Stmt& op, TransInfo* out,
+                   ExecutionTrace* trace);
+
   /// Runs queued detached actions, each as its own transaction.
   Status RunDeferred(std::vector<DeferredFiring> queue,
                      ExecutionTrace* trace);

@@ -466,29 +466,6 @@ void Table::CopyRows(std::vector<std::pair<TupleHandle, Row>>* out) const {
   for (const auto& [handle, row] : rows_) out->emplace_back(handle, row);
 }
 
-void Table::CopyRowsColumnar(std::vector<std::pair<TupleHandle, Row>>* out,
-                             const std::vector<size_t>& hot_cols,
-                             std::vector<exec::ColumnVector>* cols,
-                             std::vector<char>* built) const {
-  auto lock = mvcc_ == nullptr
-                  ? std::shared_lock<std::shared_mutex>()
-                  : std::shared_lock<std::shared_mutex>(mvcc_->mu);
-  out->reserve(rows_.size());
-  for (const auto& [handle, row] : rows_) out->emplace_back(handle, row);
-  // Decompose after the copy so string entries borrow from the final,
-  // stable row storage in `out`.
-  cols->resize(hot_cols.size());
-  built->assign(hot_cols.size(), 0);
-  for (size_t k = 0; k < hot_cols.size(); ++k) {
-    const size_t col = hot_cols[k];
-    if (col >= schema_.num_columns()) continue;
-    (*built)[k] = exec::BuildColumnFrom(
-        out->size(),
-        [out](size_t i) -> const Row& { return (*out)[i].second; }, col,
-        schema_.columns()[col].type, &(*cols)[k]);
-  }
-}
-
 bool Table::IndexLookupCopy(size_t column, const Value& value,
                             std::vector<TupleHandle>* out) const {
   auto lock = mvcc_ == nullptr

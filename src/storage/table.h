@@ -10,7 +10,6 @@
 
 #include "catalog/schema.h"
 #include "common/status.h"
-#include "exec/column_vector.h"
 #include "storage/index.h"
 #include "storage/mvcc.h"
 #include "storage/tuple_handle.h"
@@ -86,19 +85,6 @@ class Table {
 
   /// Appends every (handle, row) of the current head in handle order.
   void CopyRows(std::vector<std::pair<TupleHandle, Row>>* out) const;
-
-  /// CopyRows plus columnar materialization under the SAME shared-latch
-  /// acquisition: after copying, decomposes each column index of
-  /// `hot_cols` over the copied rows into `cols` (parallel to
-  /// `hot_cols`; docs/EXECUTION.md "Where chunks are formed"). An entry
-  /// that cannot decompose (type mismatch) is left with a false flag in
-  /// `built` and the scalar evaluator covers that column. `out` must
-  /// start empty and MUST NOT be mutated afterwards — string
-  /// column entries borrow from the copied rows.
-  void CopyRowsColumnar(std::vector<std::pair<TupleHandle, Row>>* out,
-                        const std::vector<size_t>& hot_cols,
-                        std::vector<exec::ColumnVector>* cols,
-                        std::vector<char>* built) const;
 
   /// Index probe returning handles by value. False when `column` has no
   /// index (caller falls back to a scan).

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "exec/row_batch.h"
 #include "exec/stats.h"
 #include "query/result_set.h"
 #include "test_util.h"
@@ -278,6 +279,109 @@ TEST(VectorizedDifferentialFixed, SelfReadingDmlMatches) {
     EXPECT_EQ(TraceSig(tr.value()), TraceSig(tb.value())) << sql;
     EXPECT_EQ(row.db().Checksum(), batch.db().Checksum()) << sql;
     EXPECT_EQ(Dump(&row, "t", "a, b"), Dump(&batch, "t", "a, b")) << sql;
+  }
+}
+
+// Every chunk-forming seam over inputs that span several chunks, the last
+// one partial: a pushed filter, a residual over join combos, full-scan
+// DELETE and UPDATE, and an index-probed UPDATE. `big` holds 3,000 rows
+// (chunks of 1024, 1024 and 952), NULL-heavy in both its int and its
+// string column; the join produces 5,571 combos.
+TEST(VectorizedDifferentialFixed, MultiChunkSeamsMatch) {
+  constexpr size_t kRows = 3000;
+  static_assert(kRows * 2 >= exec::kBatchRows * 5 &&
+                    kRows % exec::kBatchRows != 0,
+                "big must span at least 2.5 chunks, the last one partial");
+  std::string load = "insert into big values ";
+  for (size_t i = 0; i < kRows; ++i) {
+    if (i > 0) load += ", ";
+    const std::string v = i % 3 == 0 ? "null" : std::to_string(i % 97);
+    const std::string s =
+        i % 4 == 0 ? "null" : "'k" + std::to_string(i % 50) + "'";
+    load += "(" + std::to_string(i) + ", " + (i % 7 == 0 ? "1" : "0") +
+            ", " + v + ", " + s + ")";
+  }
+  RuleEngineOptions row_opts;
+  row_opts.batch_execution = false;
+  Engine row(row_opts);
+  Engine batch;
+  for (Engine* e : {&row, &batch}) {
+    ASSERT_OK(e->Execute("create table big (k int, g int, v int, s string)"));
+    ASSERT_OK(e->Execute("create table side (g int, w int, t string)"));
+    ASSERT_OK(e->Execute(load));
+    ASSERT_OK(e->Execute(
+        "insert into side values (0, 50, 'k3'), (1, 80, null), "
+        "(0, null, 'k9')"));
+    ASSERT_OK(e->Execute("create index on big (g)"));
+  }
+
+  const char* statements[] = {
+      // Pushed filters: two single-table conjuncts over 3,000 rows.
+      "select k, v, s from big where (v > 40 or s = 'k7') and s is not null "
+      "order by k",
+      // g = 0 matches 2,571 rows and g = 1 matches 429: 2 x 2,571 + 429
+      // combos reach the non-equi residual.
+      "select big.k, side.w from big, side "
+      "where big.g = side.g and (big.v < side.w or big.s = side.t) "
+      "order by big.k, side.w",
+      "update big set v = v * 2 + 1, s = 'u' where v between 5 and 60 "
+      "or s is null",
+      // Index-probed: the g = 0 probe yields 2,571 candidates.
+      "update big set v = v + 1 where g = 0 and (s = 'u' or v is null)",
+      "delete from big where v is null or s <> 'u'",
+  };
+  for (const char* sql : statements) {
+    auto tr = row.ExecuteBlock(sql);
+    const uint64_t batches_before = exec::GlobalStats().batches.load();
+    auto tb = batch.ExecuteBlock(sql);
+    const uint64_t batches = exec::GlobalStats().batches.load() -
+                             batches_before;
+    ASSERT_TRUE(tr.ok()) << sql << ": " << tr.status();
+    ASSERT_TRUE(tb.ok()) << sql << ": " << tb.status();
+    EXPECT_GE(batches, 3u) << sql;
+    EXPECT_EQ(TraceSig(tr.value()), TraceSig(tb.value())) << sql;
+    ASSERT_EQ(row.db().Checksum(), batch.db().Checksum()) << sql;
+  }
+  EXPECT_EQ(Dump(&row, "big", "k, g, v, s"), Dump(&batch, "big", "k, g, v, s"));
+}
+
+// When a batch statement fails, it reports the error the row path meets
+// first. The UPDATE's assignment divides by zero on its first matching
+// row, while its predicate raises a type error on a later row; the batch
+// engine evaluates the predicate stage first, so it must fall back to the
+// row loop to surface the division by zero. The DELETE's predicate
+// divides by zero on an earlier row than the one where it raises the type
+// error, in an OR branch the batch engine evaluates second.
+TEST(VectorizedDifferentialFixed, ErrorOrderMatches) {
+  const struct {
+    const char* sql;
+    StatusCode code;
+  } cases[] = {
+      {"update e set b = 10 / b where a < 3 or s + 1 > 0",
+       StatusCode::kExecutionError},
+      {"delete from e where (a = 2 and s + 1 > 0) or (a = 4 and 10 / b > 0)",
+       StatusCode::kExecutionError},
+      {"delete from e where a > 1 and s * 2 > 0", StatusCode::kTypeError},
+  };
+  for (const auto& c : cases) {
+    RuleEngineOptions row_opts;
+    row_opts.batch_execution = false;
+    Engine row(row_opts);
+    Engine batch;
+    for (Engine* e : {&row, &batch}) {
+      ASSERT_OK(e->Execute("create table e (a int, b int, s string)"));
+      ASSERT_OK(e->Execute(
+          "insert into e values (1, 0, 'x'), (4, 0, 'p'), (3, 2, 'y'), "
+          "(2, 1, 'q')"));
+    }
+    auto tr = row.ExecuteBlock(c.sql);
+    auto tb = batch.ExecuteBlock(c.sql);
+    ASSERT_FALSE(tr.ok()) << c.sql;
+    ASSERT_FALSE(tb.ok()) << c.sql;
+    EXPECT_EQ(tr.status().code(), c.code) << c.sql << ": " << tr.status();
+    EXPECT_EQ(tr.status().code(), tb.status().code()) << c.sql;
+    EXPECT_EQ(tr.status().message(), tb.status().message()) << c.sql;
+    EXPECT_EQ(row.db().Checksum(), batch.db().Checksum()) << c.sql;
   }
 }
 
