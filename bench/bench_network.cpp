@@ -30,7 +30,9 @@
 // as kOverloaded WIRE errors carrying escalating retry-after-ms hints;
 // goodput retention vs the closed-loop heavy peak should match the
 // in-process BENCH_overload.json story (~70%+), now demonstrated
-// through the protocol.
+// through the protocol. A success's latency runs from its send, not its
+// due time: the synchronous drivers cannot keep a 4x schedule, and how
+// far behind it they fall is reported separately as driver lag.
 //
 // Custom main: each repetition runs the three phases against a fresh
 // server, with the phase-1 modes in alternating order; BenchReport
@@ -244,7 +246,8 @@ struct OverloadResult {
   uint64_t other_errors = 0;
   double goodput_per_sec = 0;
   double retention = 0;  // goodput / heavy peak
-  double p99_success_ms = 0;
+  double p99_success_ms = 0;  // from each request's send to its reply
+  double p99_driver_lag_ms = 0;  // how late each request was sent
   uint32_t max_retry_hint_ms = 0;  // hints escalate per admission Backoff
 };
 
@@ -351,7 +354,7 @@ OverloadResult RunOverload(TestServer* ts,
   std::atomic<uint64_t> commits{0}, sheds{0}, other{0};
   std::atomic<uint32_t> max_hint{0};
   std::mutex lat_mu;
-  std::vector<double> success_lat;
+  std::vector<double> success_lat, driver_lag;
 
   const auto start = Clock::now();
   std::vector<std::thread> drivers;
@@ -359,19 +362,25 @@ OverloadResult RunOverload(TestServer* ts,
     drivers.emplace_back([&, d] {
       const double my_rate = offered / kDrivers;
       const uint64_t my_arrivals = total_arrivals / kDrivers;
-      std::vector<double> mine;
+      std::vector<double> mine, lag;
+      auto ms = [](Clock::duration d) {
+        return std::chrono::duration<double, std::milli>(d).count();
+      };
       for (uint64_t i = 0; i < my_arrivals; ++i) {
         const auto due =
             start + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(i / my_rate));
         std::this_thread::sleep_until(due);
         net::Client& conn = *(*pool)[d * per_driver + (i % per_driver)];
+        // A synchronous driver falls behind its schedule once its share
+        // of the offered rate exceeds what one connection completes; that
+        // lag is the generator's, so it is reported apart from latency.
+        const auto sent = Clock::now();
+        lag.push_back(ms(sent - due));
         auto lsn = conn.Execute(MakeHeavyBlock(d));
         if (lsn.ok()) {
           commits.fetch_add(1, std::memory_order_relaxed);
-          mine.push_back(std::chrono::duration<double, std::milli>(
-                             Clock::now() - due)
-                             .count());
+          mine.push_back(ms(Clock::now() - sent));
         } else if (lsn.status().code() == StatusCode::kOverloaded) {
           sheds.fetch_add(1, std::memory_order_relaxed);
           // The hint escalates with consecutive sheds (admission
@@ -389,6 +398,7 @@ OverloadResult RunOverload(TestServer* ts,
       }
       std::lock_guard<std::mutex> lock(lat_mu);
       success_lat.insert(success_lat.end(), mine.begin(), mine.end());
+      driver_lag.insert(driver_lag.end(), lag.begin(), lag.end());
     });
   }
   for (std::thread& t : drivers) t.join();
@@ -406,6 +416,7 @@ OverloadResult RunOverload(TestServer* ts,
   r.goodput_per_sec = r.commits / secs;
   r.retention = r.peak_per_sec > 0 ? r.goodput_per_sec / r.peak_per_sec : 0;
   r.p99_success_ms = Percentile(&success_lat, 0.99);
+  r.p99_driver_lag_ms = Percentile(&driver_lag, 0.99);
   r.max_retry_hint_ms = max_hint.load();
   return r;
 }
@@ -464,12 +475,12 @@ void RunOnce(int rep, double seconds, size_t connections,
   std::printf(
       "overload: heavy peak %.0f/s, offered %.0f/s (%.0fx) -> goodput "
       "%.0f/s (%.0f%% retained)  sheds=%llu  max_retry_hint=%ums  "
-      "p99(success) %.2fms  other_errors=%llu\n",
+      "p99(success) %.2fms  p99(driver lag) %.2fms  other_errors=%llu\n",
       overload.peak_per_sec, overload.offered_per_sec, kOverloadFactor,
       overload.goodput_per_sec, 100.0 * overload.retention,
       static_cast<unsigned long long>(overload.sheds),
       overload.max_retry_hint_ms, overload.p99_success_ms,
-      static_cast<unsigned long long>(overload.other_errors));
+      overload.p99_driver_lag_ms, static_cast<unsigned long long>(overload.other_errors));
   report->Add("overload.heavy_peak_per_sec", overload.peak_per_sec);
   report->Add("overload.offered_per_sec", overload.offered_per_sec);
   report->Add("overload.offered", overload.offered);
@@ -479,6 +490,7 @@ void RunOnce(int rep, double seconds, size_t connections,
   report->Add("overload.goodput_per_sec", overload.goodput_per_sec);
   report->Add("overload.retention_vs_peak", overload.retention);
   report->Add("overload.p99_success_ms", overload.p99_success_ms);
+  report->Add("overload.p99_driver_lag_ms", overload.p99_driver_lag_ms);
   report->Add("overload.max_retry_hint_ms", overload.max_retry_hint_ms);
 
   for (auto& client : pool) client->Abort();

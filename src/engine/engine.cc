@@ -9,7 +9,6 @@
 #include "common/digest.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
-#include "query/snapshot_resolver.h"
 #include "wal/checkpoint.h"
 #include "wal/dir_lock.h"
 #include "wal/recovery.h"
@@ -274,7 +273,7 @@ Result<QueryResult> Engine::Query(const std::string& sql) {
 
 Result<QueryResult> Engine::QueryAtSnapshot(const SelectStmt& stmt,
                                             uint64_t lsn) const {
-  SnapshotResolver resolver(db_.get(), lsn);
+  DatabaseResolver resolver(db_.get(), lsn);
   // The select path never touches the Executor's Database (that member
   // exists for DML), so a null db keeps this path trivially read-only.
   Executor executor(nullptr, &resolver, ExecOptionsFrom(rules_->options()));

@@ -1,7 +1,9 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/cancel.h"
@@ -21,68 +23,74 @@ namespace {
 /// without paying a check per row (docs/OVERLOAD.md).
 constexpr size_t kCancelCheckBatch = 1024;
 
+/// The one read of a stored table into a Relation (docs/CONCURRENCY.md
+/// "How a statement reads a table"), at read point `at`. `eq`, when set,
+/// narrows it to rows whose column (probably) equals the value; callers
+/// re-apply their predicate. At the head an index probe locks each
+/// candidate record and any other read locks the whole table, S for a
+/// select and X for DML (`for_write`); a snapshot read takes no lock.
+Result<Relation> ReadTable(const Database& db, const Table& table,
+                           std::string_view name, uint64_t at, bool for_write,
+                           std::optional<std::pair<size_t, const Value*>> eq) {
+  Relation rel;
+  rel.schema = &table.schema();
+  const bool head = at == kHeadLsn;
+  if (eq && table.GetIndex(eq->first) != nullptr) {
+    std::function<Status(TupleHandle)> lock;
+    if (head) {
+      lock = [&](TupleHandle h) {
+        return for_write ? db.LockRecordForWrite(name, h)
+                         : db.LockRecordForRead(name, h);
+      };
+    }
+    SOPR_RETURN_NOT_OK(table.ProbeEq(at, eq->first, *eq->second, lock,
+                                     &rel.rows, &rel.handles));
+    return rel;
+  }
+  if (head && for_write) {
+    // Every row is a DML candidate: the table X lock is full phantom
+    // protection for this scan-then-mutate.
+    SOPR_RETURN_NOT_OK(db.LockForWriteScan(name));
+  } else if (head) {
+    SOPR_RETURN_NOT_OK(CheckCancel("table scan"));
+    // A full scan reads every row, so it takes a table S lock: committed
+    // writers cannot change the table under this transaction's feet, and
+    // re-scans within the fixpoint see a stable set (coarse-grained
+    // phantom protection; see docs/CONCURRENCY.md).
+    SOPR_RETURN_NOT_OK(db.LockForScan(name));
+  }
+  table.Scan(at, &rel.rows, &rel.handles);
+  return rel;
+}
+
 }  // namespace
 
-Result<Relation> DatabaseResolver::Resolve(const TableRef& ref) {
+Result<const Table*> DatabaseResolver::BaseTable(const TableRef& ref) const {
   if (ref.kind != TableRefKind::kBase) {
     return Status::CatalogError(
         "transition table '" + ref.ToString() +
         "' can only be referenced inside a production rule");
   }
-  SOPR_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(ref.table));
-  SOPR_RETURN_NOT_OK(CheckCancel("table scan"));
-  // A full scan reads every row, so it takes a table S lock: committed
-  // writers cannot change the table under this transaction's feet, and
-  // re-scans within the fixpoint see a stable set (coarse-grained
-  // phantom protection; see docs/CONCURRENCY.md).
-  SOPR_RETURN_NOT_OK(db_->LockForScan(ref.table));
-  Relation rel;
-  rel.schema = &table->schema();
-  std::vector<std::pair<TupleHandle, Row>> rows;
-  table->CopyRows(&rows);
-  rel.rows.reserve(rows.size());
-  rel.handles.reserve(rows.size());
-  for (auto& [handle, row] : rows) {
-    rel.handles.push_back(handle);
-    rel.rows.push_back(std::move(row));
-  }
-  return rel;
+  return db_->GetTable(ref.table);
+}
+
+Result<Relation> DatabaseResolver::Resolve(const TableRef& ref) {
+  SOPR_ASSIGN_OR_RETURN(const Table* table, BaseTable(ref));
+  return ReadTable(*db_, *table, ref.table, at_, false, std::nullopt);
 }
 
 Result<const TableSchema*> DatabaseResolver::ResolveSchema(
     const TableRef& ref) {
-  if (ref.kind != TableRefKind::kBase) {
-    return Status::CatalogError(
-        "transition table '" + ref.ToString() +
-        "' can only be referenced inside a production rule");
-  }
-  SOPR_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(ref.table));
+  SOPR_ASSIGN_OR_RETURN(const Table* table, BaseTable(ref));
   return &table->schema();
 }
 
 Result<Relation> DatabaseResolver::ResolveEq(const TableRef& ref,
                                              size_t column,
                                              const Value& value) {
-  if (ref.kind != TableRefKind::kBase) return Resolve(ref);
-  SOPR_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(ref.table));
-  const ColumnIndex* index = table->GetIndex(column);
-  if (index == nullptr) return Resolve(ref);
-  Relation rel;
-  rel.schema = &table->schema();
-  std::vector<TupleHandle> handles;
-  table->IndexLookupCopy(column, value, &handles);
-  rel.rows.reserve(handles.size());
-  rel.handles.reserve(handles.size());
-  for (TupleHandle h : handles) {
-    // Record S lock per probed row, then re-read: the row may have been
-    // deleted between the index probe and the lock grant.
-    SOPR_RETURN_NOT_OK(db_->LockRecordForRead(ref.table, h));
-    auto row = table->GetCopy(h);
-    if (!row.ok()) continue;
-    rel.handles.push_back(h);
-    rel.rows.push_back(std::move(row).value());
-  }
-  return rel;
+  SOPR_ASSIGN_OR_RETURN(const Table* table, BaseTable(ref));
+  return ReadTable(*db_, *table, ref.table, at_, false,
+                   std::make_pair(column, &value));
 }
 
 namespace {
@@ -305,18 +313,14 @@ Status Executor::FilterPositions(const std::vector<const Expr*>& conjuncts,
   return s;
 }
 
-Status Executor::MatchTargets(
-    const Expr* where, Scope* scope,
-    const std::vector<std::pair<TupleHandle, Row>>& snapshot,
-    std::vector<size_t>* matches) {
+Status Executor::MatchTargets(const Expr* where, Scope* scope,
+                              const Relation& targets,
+                              std::vector<size_t>* matches) {
   std::vector<const Expr*> conjuncts;
   if (where != nullptr) conjuncts.push_back(where);
   return FilterPositions(
-      conjuncts, scope, snapshot.size(),
-      [&snapshot](size_t i, size_t) -> const Row* {
-        return &snapshot[i].second;
-      },
-      matches);
+      conjuncts, scope, targets.rows.size(),
+      [&targets](size_t i, size_t) { return &targets.rows[i]; }, matches);
 }
 
 Result<QueryResult> Executor::RunSubquery(const SelectStmt& select,
@@ -361,25 +365,10 @@ Result<QueryResult> Executor::ExecuteSelect(
       -> std::optional<std::pair<size_t, const Value*>> {
     for (const QueryPlan::PushedFilter& filter : plan.pushed()) {
       if (filter.binding != binding) continue;
-      if (filter.conjunct->kind != ExprKind::kBinary) continue;
-      const auto& binary = static_cast<const BinaryExpr&>(*filter.conjunct);
-      if (binary.op != BinaryOp::kEq) continue;
-      const Expr* column_side = binary.left.get();
-      const Expr* literal_side = binary.right.get();
-      if (column_side->kind != ExprKind::kColumnRef ||
-          literal_side->kind != ExprKind::kLiteral) {
-        std::swap(column_side, literal_side);
+      if (auto hint = FindEqLiteral(filter.conjunct,
+                                    *binding_infos[binding].schema)) {
+        return hint;
       }
-      if (column_side->kind != ExprKind::kColumnRef ||
-          literal_side->kind != ExprKind::kLiteral) {
-        continue;
-      }
-      const auto& ref = static_cast<const ColumnRefExpr&>(*column_side);
-      auto col = binding_infos[binding].schema->FindColumn(ref.column);
-      if (!col) continue;
-      const Value& v = static_cast<const LiteralExpr&>(*literal_side).value;
-      if (v.is_null()) continue;
-      return std::make_pair(*col, &v);
     }
     return std::nullopt;
   };
@@ -555,9 +544,6 @@ Result<QueryResult> Executor::ExecuteSelect(
     }
     combos = std::move(next_combos);
     joined.push_back(next);
-  }
-  if (!relations.empty() && combos.empty() && relations.size() != joined.size()) {
-    combos.clear();  // defensive: some relation was empty
   }
 
   // 3. Residual conjuncts over full combos.
@@ -809,36 +795,12 @@ Status Executor::ApplyOrderAndDistinct(const SelectStmt& stmt,
   return Status::OK();
 }
 
-Status Executor::SnapshotForDml(
-    const Table& table, const std::string& table_name, const Expr* where,
-    const TableSchema& schema,
-    std::vector<std::pair<TupleHandle, Row>>* snapshot) {
-  if (options_.optimize && where != nullptr) {
-    if (auto hint = FindEqLiteral(where, schema)) {
-      if (table.GetIndex(hint->first) != nullptr) {
-        std::vector<TupleHandle> handles;
-        table.IndexLookupCopy(hint->first, *hint->second, &handles);
-        snapshot->reserve(handles.size());
-        for (TupleHandle h : handles) {
-          // Record X lock per candidate (IX on the table), then re-read:
-          // the row may have changed or vanished between the index probe
-          // and the lock grant. Stale candidates that no longer match
-          // `where` are filtered by the caller's predicate evaluation.
-          SOPR_RETURN_NOT_OK(db_->LockRecordForWrite(table_name, h));
-          auto row = table.GetCopy(h);
-          if (!row.ok()) continue;
-          snapshot->emplace_back(h, std::move(row).value());
-        }
-        return Status::OK();
-      }
-    }
-  }
-  // Unindexed predicate: every row is a candidate — take a table X lock
-  // (full phantom protection for this scan-then-mutate).
-  SOPR_RETURN_NOT_OK(db_->LockForWriteScan(table_name));
-  snapshot->reserve(table.size());
-  table.CopyRows(snapshot);
-  return Status::OK();
+Result<Relation> Executor::ReadTargets(const Table& table,
+                                       const std::string& table_name,
+                                       const Expr* where) {
+  std::optional<std::pair<size_t, const Value*>> eq;
+  if (options_.optimize) eq = FindEqLiteral(where, table.schema());
+  return ReadTable(*db_, table, table_name, kHeadLsn, true, eq);
 }
 
 Row Executor::CoerceRow(Row row, const TableSchema& schema) {
@@ -892,20 +854,17 @@ Result<DmlEffect> Executor::ExecuteDelete(const DeleteStmt& stmt) {
   DmlEffect effect;
   effect.table = ToLower(stmt.table);
 
-  // Snapshot, then evaluate the predicate against the pre-statement
-  // state. A `column = literal` conjunct with an index narrows the
-  // snapshot; the full predicate is still evaluated per row.
-  std::vector<std::pair<TupleHandle, Row>> snapshot;
-  SOPR_RETURN_NOT_OK(
-      SnapshotForDml(*table, stmt.table, stmt.where.get(), schema, &snapshot));
+  // Read the targets, then evaluate the predicate against the
+  // pre-statement state. A `column = literal` conjunct with an index
+  // narrows the read; the full predicate is still evaluated per row.
+  SOPR_ASSIGN_OR_RETURN(Relation targets,
+                        ReadTargets(*table, stmt.table, stmt.where.get()));
   Scope scope;
   SOPR_RETURN_NOT_OK(scope.AddBinding(ToLower(stmt.table), &schema));
   std::vector<size_t> matches;
-  SOPR_RETURN_NOT_OK(
-      MatchTargets(stmt.where.get(), &scope, snapshot, &matches));
+  SOPR_RETURN_NOT_OK(MatchTargets(stmt.where.get(), &scope, targets, &matches));
   for (size_t r : matches) {
-    effect.deleted.emplace_back(snapshot[r].first,
-                                std::move(snapshot[r].second));
+    effect.deleted.emplace_back(targets.handles[r], std::move(targets.rows[r]));
   }
 
   for (const auto& [handle, row] : effect.deleted) {
@@ -934,9 +893,8 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
     assigned_cols.push_back(*idx);
   }
 
-  std::vector<std::pair<TupleHandle, Row>> snapshot;
-  SOPR_RETURN_NOT_OK(
-      SnapshotForDml(*table, stmt.table, stmt.where.get(), schema, &snapshot));
+  SOPR_ASSIGN_OR_RETURN(Relation targets,
+                        ReadTargets(*table, stmt.table, stmt.where.get()));
   Scope scope;
   SOPR_RETURN_NOT_OK(scope.AddBinding(ToLower(stmt.table), &schema));
   EvalContext ctx;
@@ -945,20 +903,21 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
   // Evaluates the assignments over one matched target and records the
   // pre-image; the new rows are applied once every target is known.
   std::vector<std::pair<TupleHandle, Row>> new_rows;
-  auto assign = [&](std::pair<TupleHandle, Row>& target) -> Status {
-    scope.SetRow(0, &target.second);
-    Row new_row = target.second;
+  auto assign = [&](size_t r) -> Status {
+    Row& old_row = targets.rows[r];
+    scope.SetRow(0, &old_row);
+    Row new_row = old_row;
     for (size_t i = 0; i < stmt.assignments.size(); ++i) {
       SOPR_ASSIGN_OR_RETURN(
           Value v, Evaluate(*stmt.assignments[i].value, scope, ctx));
       new_row.at(assigned_cols[i]) = std::move(v);
     }
     DmlEffect::UpdatedTuple updated;
-    updated.handle = target.first;
+    updated.handle = targets.handles[r];
     updated.columns = assigned_cols;
-    updated.old_row = std::move(target.second);
+    updated.old_row = std::move(old_row);
     effect.updated.push_back(std::move(updated));
-    new_rows.emplace_back(target.first,
+    new_rows.emplace_back(targets.handles[r],
                           CoerceRow(std::move(new_row), schema));
     return Status::OK();
   };
@@ -969,9 +928,9 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
     // predicate stage the assignments visit the same rows in the same
     // order as the row loop, so any assignment error already matches it.
     std::vector<size_t> matches;
-    Status s = MatchTargets(stmt.where.get(), &scope, snapshot, &matches);
+    Status s = MatchTargets(stmt.where.get(), &scope, targets, &matches);
     if (s.ok()) {
-      for (size_t r : matches) SOPR_RETURN_NOT_OK(assign(snapshot[r]));
+      for (size_t r : matches) SOPR_RETURN_NOT_OK(assign(r));
       matched = true;
     } else if (!exec::IsRowOrderError(s.code())) {
       return s;
@@ -981,17 +940,17 @@ Result<DmlEffect> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
     // and that is the authoritative outcome.
   }
   // Row at a time: predicate, then assignment, per row.
-  for (size_t r = 0; r < snapshot.size() && !matched; ++r) {
+  for (size_t r = 0; r < targets.rows.size() && !matched; ++r) {
     if (r % kCancelCheckBatch == 0) {
       SOPR_RETURN_NOT_OK(CheckCancel("update scan"));
     }
     if (stmt.where != nullptr) {
-      scope.SetRow(0, &snapshot[r].second);
+      scope.SetRow(0, &targets.rows[r]);
       SOPR_ASSIGN_OR_RETURN(TriBool t,
                             EvaluatePredicate(*stmt.where, scope, ctx));
       if (t != TriBool::kTrue) continue;
     }
-    SOPR_RETURN_NOT_OK(assign(snapshot[r]));
+    SOPR_RETURN_NOT_OK(assign(r));
   }
 
   for (auto& [handle, new_row] : new_rows) {

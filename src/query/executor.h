@@ -46,11 +46,19 @@ class TableResolver {
   }
 };
 
-/// Resolves base tables from a Database by snapshotting their rows.
-/// Transition-table references fail — they only exist inside rules.
+/// Resolves base tables from a Database at one read point: the
+/// write-side head (kHeadLsn, the default), which rule actions and open
+/// transactions read under S locks, or a snapshot LSN, read under the
+/// tables' shared version latches only (docs/CONCURRENCY.md "How a
+/// statement reads a table"). Transition-table references fail — they
+/// only exist inside rules, whose actions always run at the head.
+///
+/// A snapshot reader must hold the scheduler's schema lock (shared) for
+/// the duration of the query: snapshots version rows, not the catalog.
 class DatabaseResolver : public TableResolver {
  public:
-  explicit DatabaseResolver(const Database* db) : db_(db) {}
+  explicit DatabaseResolver(const Database* db, uint64_t at = kHeadLsn)
+      : db_(db), at_(at) {}
   Result<Relation> Resolve(const TableRef& ref) override;
   Result<const TableSchema*> ResolveSchema(const TableRef& ref) override;
   /// Uses the table's equality index on `column` when one exists.
@@ -58,7 +66,11 @@ class DatabaseResolver : public TableResolver {
                              const Value& value) override;
 
  private:
+  /// The table `ref` names; CatalogError for a transition table.
+  Result<const Table*> BaseTable(const TableRef& ref) const;
+
   const Database* db_;
+  uint64_t at_;
 };
 
 /// The per-statement affected set (§2.1), with the value information the
@@ -151,13 +163,12 @@ class Executor : public SubqueryRunner {
   Status ApplyOrderAndDistinct(const SelectStmt& stmt, QueryResult* result,
                                std::vector<Row>* order_keys);
 
-  /// Snapshot of a DML target table, narrowed through an equality index
-  /// when `where` has a `column = literal` conjunct and one exists. With
-  /// record locking enabled, candidates are X-locked before they are
-  /// copied (the table itself when the predicate is unindexed).
-  Status SnapshotForDml(const Table& table, const std::string& table_name,
-                        const Expr* where, const TableSchema& schema,
-                        std::vector<std::pair<TupleHandle, Row>>* snapshot);
+  /// The rows DELETE/UPDATE may touch: the head read of a select with
+  /// X locks in place of S locks, narrowed through an equality index
+  /// when `where` has a `column = literal` conjunct and one exists.
+  Result<Relation> ReadTargets(const Table& table,
+                               const std::string& table_name,
+                               const Expr* where);
 
   /// Coerces int literals into double columns so stored types match the
   /// schema exactly.
@@ -174,12 +185,11 @@ class Executor : public SubqueryRunner {
                          Scope* scope, size_t n, const RowAt& row_at,
                          std::vector<size_t>* keep);
 
-  /// DELETE/UPDATE target matching: the positions of `snapshot` whose row
+  /// DELETE/UPDATE target matching: the positions of `targets` whose row
   /// satisfies `where` (every position when `where` is null). `scope`
   /// binds the target table alone.
   Status MatchTargets(const Expr* where, Scope* scope,
-                      const std::vector<std::pair<TupleHandle, Row>>& snapshot,
-                      std::vector<size_t>* matches);
+                      const Relation& targets, std::vector<size_t>* matches);
 
   Database* db_;
   TableResolver* resolver_;

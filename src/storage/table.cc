@@ -19,6 +19,11 @@ std::unique_lock<Mutex> MaybeLock(Mutex* mu) {
 
 }  // namespace
 
+std::shared_lock<std::shared_mutex> Table::ReadLatch() const {
+  return mvcc_ == nullptr ? std::shared_lock<std::shared_mutex>()
+                          : std::shared_lock<std::shared_mutex>(mvcc_->mu);
+}
+
 void Table::EnableMvcc() {
   if (mvcc_ == nullptr) mvcc_ = std::make_unique<MvccState>();
 }
@@ -238,18 +243,31 @@ bool Table::LiveVisibleLocked(TupleHandle handle, uint64_t lsn) const {
   return it == mvcc_->live_begin.end() || it->second <= lsn;
 }
 
-void Table::SnapshotScan(
-    uint64_t lsn, std::vector<std::pair<TupleHandle, Row>>* out) const {
-  if (mvcc_ == nullptr) {
-    for (const auto& [handle, row] : rows_) out->emplace_back(handle, row);
-    return;
-  }
-  std::shared_lock<std::shared_mutex> lock(mvcc_->mu);
-  SnapshotScanLocked(lsn, out);
+void Table::Scan(uint64_t at, std::vector<Row>* rows,
+                 std::vector<TupleHandle>* handles) const {
+  auto latch = ReadLatch();
+  ScanLatched(at, rows, handles);
 }
 
-void Table::SnapshotScanLocked(
-    uint64_t lsn, std::vector<std::pair<TupleHandle, Row>>* out) const {
+void Table::ScanLatched(uint64_t at, std::vector<Row>* rows,
+                        std::vector<TupleHandle>* handles) const {
+  auto emit = [&](TupleHandle handle, const Row& row) {
+    handles->push_back(handle);
+    rows->push_back(row);
+  };
+  if (at == kHeadLsn || mvcc_ == nullptr) {
+    rows->reserve(rows->size() + rows_.size());
+    handles->reserve(handles->size() + rows_.size());
+    for (const auto& [handle, row] : rows_) emit(handle, row);
+    return;
+  }
+  // The snapshot output is not reserved: its size is known only once
+  // the merge ends, and reserving the heap-plus-chains bound raised a
+  // server's peak RSS by 8% on a 100k-row table. One block that large is
+  // a fresh mmap, while growing frees smaller mapped blocks, which raises
+  // glibc's mmap threshold so the query's later buffers reuse memory
+  // the process already holds.
+  //
   // Handle-ordered merge of the heap and the version chains. The
   // intervals of a handle's versions (chain entries plus the live row)
   // are disjoint, so at most one of the two merge arms emits it.
@@ -258,20 +276,18 @@ void Table::SnapshotScanLocked(
   while (live != rows_.end() || chain != mvcc_->chains.end()) {
     if (chain == mvcc_->chains.end() ||
         (live != rows_.end() && live->first < chain->first)) {
-      if (LiveVisibleLocked(live->first, lsn)) {
-        out->emplace_back(live->first, live->second);
-      }
+      if (LiveVisibleLocked(live->first, at)) emit(live->first, live->second);
       ++live;
     } else if (live == rows_.end() || chain->first < live->first) {
-      if (const Row* row = VisibleChainRow(chain->second, lsn)) {
-        out->emplace_back(chain->first, *row);
+      if (const Row* row = VisibleChainRow(chain->second, at)) {
+        emit(chain->first, *row);
       }
       ++chain;
     } else {
-      if (LiveVisibleLocked(live->first, lsn)) {
-        out->emplace_back(live->first, live->second);
-      } else if (const Row* row = VisibleChainRow(chain->second, lsn)) {
-        out->emplace_back(chain->first, *row);
+      if (LiveVisibleLocked(live->first, at)) {
+        emit(live->first, live->second);
+      } else if (const Row* row = VisibleChainRow(chain->second, at)) {
+        emit(chain->first, *row);
       }
       ++live;
       ++chain;
@@ -279,35 +295,54 @@ void Table::SnapshotScanLocked(
   }
 }
 
-void Table::SnapshotProbeEq(
-    uint64_t lsn, size_t column, const Value& value,
-    std::vector<std::pair<TupleHandle, Row>>* out) const {
-  if (mvcc_ == nullptr) {
-    SnapshotScan(lsn, out);
-    return;
-  }
-  std::shared_lock<std::shared_mutex> lock(mvcc_->mu);
+Status Table::ProbeEq(uint64_t at, size_t column, const Value& value,
+                      const std::function<Status(TupleHandle)>& lock,
+                      std::vector<Row>* rows,
+                      std::vector<TupleHandle>* handles) const {
+  auto latch = ReadLatch();
   const ColumnIndex* index = GetIndex(column);
   if (index == nullptr) {
-    SnapshotScanLocked(lsn, out);
-    return;
+    ScanLatched(at, rows, handles);
+    return Status::OK();
   }
-  std::vector<std::pair<TupleHandle, Row>> matches;
+  const std::set<TupleHandle>* bucket = index->Lookup(value);
+  if (at == kHeadLsn || mvcc_ == nullptr) {
+    std::vector<TupleHandle> candidates;
+    if (bucket != nullptr) candidates.assign(bucket->begin(), bucket->end());
+    if (lock) {
+      // A lock wait must not hold the latch the lock holder's writes
+      // need; each row is read only once its lock is granted, so a
+      // candidate deleted meanwhile is gone from the heap and skipped.
+      if (mvcc_ != nullptr) latch.unlock();
+      for (TupleHandle handle : candidates) SOPR_RETURN_NOT_OK(lock(handle));
+      if (mvcc_ != nullptr) latch.lock();
+    }
+    rows->reserve(rows->size() + candidates.size());
+    handles->reserve(handles->size() + candidates.size());
+    for (TupleHandle handle : candidates) {
+      auto it = rows_.find(handle);
+      if (it == rows_.end()) continue;
+      handles->push_back(handle);
+      rows->push_back(it->second);
+    }
+    return Status::OK();
+  }
   // Live rows come straight from the index (it tracks the heap, i.e. the
   // write-side head), filtered down to what the snapshot may see.
-  if (const std::set<TupleHandle>* bucket = index->Lookup(value)) {
-    for (TupleHandle handle : *bucket) {
-      if (!LiveVisibleLocked(handle, lsn)) continue;
-      auto it = rows_.find(handle);
-      if (it != rows_.end()) matches.emplace_back(handle, it->second);
-    }
-  }
   // Superseded versions are not indexed; scan the chains with the same
   // key equivalence the index uses. A handle never matches both arms:
   // its version intervals are disjoint.
+  std::vector<std::pair<TupleHandle, const Row*>> matches;
+  if (bucket != nullptr) {
+    for (TupleHandle handle : *bucket) {
+      if (!LiveVisibleLocked(handle, at)) continue;
+      auto it = rows_.find(handle);
+      if (it != rows_.end()) matches.emplace_back(handle, &it->second);
+    }
+  }
   const Value key = ColumnIndex::NormalizeKey(value);
   for (const auto& [handle, chain] : mvcc_->chains) {
-    const Row* row = VisibleChainRow(chain, lsn);
+    const Row* row = VisibleChainRow(chain, at);
     if (row == nullptr) continue;
     const Value& stored = row->at(column);
     if (stored.is_null()) continue;  // SQL equality with NULL never holds
@@ -315,12 +350,16 @@ void Table::SnapshotProbeEq(
     if (normalized.StructurallyLess(key) || key.StructurallyLess(normalized)) {
       continue;
     }
-    matches.emplace_back(handle, *row);
+    matches.emplace_back(handle, row);
   }
-  std::sort(matches.begin(), matches.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out->insert(out->end(), std::make_move_iterator(matches.begin()),
-              std::make_move_iterator(matches.end()));
+  std::sort(matches.begin(), matches.end());
+  rows->reserve(rows->size() + matches.size());
+  handles->reserve(handles->size() + matches.size());
+  for (const auto& [handle, row] : matches) {
+    handles->push_back(handle);
+    rows->push_back(*row);
+  }
+  return Status::OK();
 }
 
 size_t Table::PruneVersions(uint64_t floor) {
@@ -429,9 +468,7 @@ const ColumnIndex* Table::GetIndex(size_t column) const {
 }
 
 Result<Row> Table::GetCopy(TupleHandle handle) const {
-  auto lock = mvcc_ == nullptr
-                  ? std::shared_lock<std::shared_mutex>()
-                  : std::shared_lock<std::shared_mutex>(mvcc_->mu);
+  auto lock = ReadLatch();
   auto it = rows_.find(handle);
   if (it == rows_.end()) {
     return Status::ExecutionError("no tuple with handle " +
@@ -443,9 +480,7 @@ Result<Row> Table::GetCopy(TupleHandle handle) const {
 
 Status Table::GetCopyBatch(const std::vector<TupleHandle>& handles,
                            std::vector<Row>* out) const {
-  auto lock = mvcc_ == nullptr
-                  ? std::shared_lock<std::shared_mutex>()
-                  : std::shared_lock<std::shared_mutex>(mvcc_->mu);
+  auto lock = ReadLatch();
   out->reserve(out->size() + handles.size());
   for (TupleHandle handle : handles) {
     auto it = rows_.find(handle);
@@ -457,26 +492,6 @@ Status Table::GetCopyBatch(const std::vector<TupleHandle>& handles,
     out->push_back(it->second);
   }
   return Status::OK();
-}
-
-void Table::CopyRows(std::vector<std::pair<TupleHandle, Row>>* out) const {
-  auto lock = mvcc_ == nullptr
-                  ? std::shared_lock<std::shared_mutex>()
-                  : std::shared_lock<std::shared_mutex>(mvcc_->mu);
-  for (const auto& [handle, row] : rows_) out->emplace_back(handle, row);
-}
-
-bool Table::IndexLookupCopy(size_t column, const Value& value,
-                            std::vector<TupleHandle>* out) const {
-  auto lock = mvcc_ == nullptr
-                  ? std::shared_lock<std::shared_mutex>()
-                  : std::shared_lock<std::shared_mutex>(mvcc_->mu);
-  const ColumnIndex* index = GetIndex(column);
-  if (index == nullptr) return false;
-  if (const std::set<TupleHandle>* bucket = index->Lookup(value)) {
-    out->insert(out->end(), bucket->begin(), bucket->end());
-  }
-  return true;
 }
 
 Result<const Row*> Table::Get(TupleHandle handle) const {

@@ -1,6 +1,7 @@
 #ifndef SOPR_STORAGE_TABLE_H_
 #define SOPR_STORAGE_TABLE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -17,6 +18,12 @@
 
 namespace sopr {
 
+/// The read point of Table::Scan / ProbeEq that stands for the
+/// write-side head: every live heap row, uncommitted writes included. As
+/// an LSN it sees exactly that (every live row begins at or below it, no
+/// superseded version ends above it), but head reads never walk chains.
+inline constexpr uint64_t kHeadLsn = kPendingLsn;
+
 /// Heap storage for one table: handle → row. Duplicate rows are allowed
 /// (they have distinct handles, per the paper's model). Iteration order is
 /// ascending handle, i.e. insertion order, which keeps traces deterministic.
@@ -28,12 +35,11 @@ namespace sopr {
 ///     while the writing transaction is in flight);
 ///   - per-handle chains of superseded RowVersions, each ending at the
 ///     LSN of the commit that superseded it.
-/// SnapshotScan / SnapshotProbeEq read the state as of a snapshot LSN
-/// under the shared side of the latch, entirely concurrent with the
-/// single writer (who takes the exclusive side only for the short heap +
-/// version critical section). The unversioned accessors (rows(), Get)
-/// keep reading the write-side head and rely on the caller's locking,
-/// exactly as before.
+/// Scan / ProbeEq read either the write-side head or the state as of a
+/// snapshot LSN under the shared side of the latch, concurrent with
+/// writers (who take the exclusive side only for the short heap +
+/// version critical section). The unlatched accessors (rows(), Get) read
+/// the write-side head and rely on the caller's locking.
 class Table {
  public:
   explicit Table(TableSchema schema) : schema_(std::move(schema)) {}
@@ -83,14 +89,6 @@ class Table {
   Status GetCopyBatch(const std::vector<TupleHandle>& handles,
                       std::vector<Row>* out) const;
 
-  /// Appends every (handle, row) of the current head in handle order.
-  void CopyRows(std::vector<std::pair<TupleHandle, Row>>* out) const;
-
-  /// Index probe returning handles by value. False when `column` has no
-  /// index (caller falls back to a scan).
-  bool IndexLookupCopy(size_t column, const Value& value,
-                       std::vector<TupleHandle>* out) const;
-
   /// Builds an equality index on `column` (idempotent: a second request
   /// on the same column is a no-op). Existing rows are indexed
   /// immediately; subsequent mutations maintain it.
@@ -123,17 +121,25 @@ class Table {
   /// per (handle, commit). No-op with MVCC off.
   void StampVersions(TupleHandle handle, uint64_t commit_lsn);
 
-  /// Appends every (handle, row) visible at snapshot `lsn`, in ascending
-  /// handle order. With MVCC off this is a plain copy of rows().
-  void SnapshotScan(uint64_t lsn,
-                    std::vector<std::pair<TupleHandle, Row>>* out) const;
+  /// Appends every row visible at read point `at` (kHeadLsn or a
+  /// snapshot LSN) to `rows`, its handle to the parallel `handles`, in
+  /// ascending handle order. A head read copies the heap alone; only a
+  /// snapshot read consults version state.
+  void Scan(uint64_t at, std::vector<Row>* rows,
+            std::vector<TupleHandle>* handles) const;
 
-  /// Like SnapshotScan narrowed to rows whose `column` (probably) equals
-  /// `value`: live rows come from the equality index when one exists,
-  /// superseded versions from a chain scan. May return a superset (the
-  /// executor re-applies the predicate); never misses a matching row.
-  void SnapshotProbeEq(uint64_t lsn, size_t column, const Value& value,
-                       std::vector<std::pair<TupleHandle, Row>>* out) const;
+  /// Scan narrowed to rows whose `column` (probably) equals `value`. With
+  /// an equality index on `column`, live rows come from the index and, at
+  /// a snapshot, superseded versions from a chain scan; without one this
+  /// is Scan. May return a superset (callers re-apply their predicate);
+  /// never misses a matching row. At the head, a non-null `lock` is
+  /// called on each index candidate outside the latch before any row is
+  /// read; a candidate gone by then is skipped, and the first failed
+  /// lock is returned. Snapshot probes take no lock.
+  Status ProbeEq(uint64_t at, size_t column, const Value& value,
+                 const std::function<Status(TupleHandle)>& lock,
+                 std::vector<Row>* rows,
+                 std::vector<TupleHandle>* handles) const;
 
   /// Discards version state no snapshot at or after `floor` can see:
   /// superseded versions with end_lsn <= floor and live_begin entries
@@ -178,8 +184,11 @@ class Table {
   /// True when the live heap row of `handle` is visible at `lsn`.
   /// Caller holds mvcc_->mu.
   bool LiveVisibleLocked(TupleHandle handle, uint64_t lsn) const;
-  void SnapshotScanLocked(uint64_t lsn,
-                          std::vector<std::pair<TupleHandle, Row>>* out) const;
+  /// The shared side of the MVCC latch; disengaged with MVCC off.
+  std::shared_lock<std::shared_mutex> ReadLatch() const;
+  /// Scan with the latch already held (shared or not needed).
+  void ScanLatched(uint64_t at, std::vector<Row>* rows,
+                   std::vector<TupleHandle>* handles) const;
 
   TableSchema schema_;
   std::map<TupleHandle, Row> rows_;

@@ -308,6 +308,240 @@ TEST(Database, CheckInvariantsCatchesIndexDivergence) {
   EXPECT_EQ(s.code(), StatusCode::kInternal);
 }
 
+// --- Table::Scan / Table::ProbeEq at the head and at snapshots ----------
+
+/// What one Scan or ProbeEq appended, kept apart so a test can check both
+/// parallel vectors.
+struct ReadOut {
+  std::vector<Row> rows;
+  std::vector<TupleHandle> handles;
+};
+
+ReadOut ScanAt(const Table& table, uint64_t at) {
+  ReadOut out;
+  table.Scan(at, &out.rows, &out.handles);
+  EXPECT_EQ(out.rows.size(), out.handles.size());
+  return out;
+}
+
+ReadOut ProbeAt(const Table& table, uint64_t at, size_t column,
+                const Value& value) {
+  ReadOut out;
+  EXPECT_OK(table.ProbeEq(at, column, value, nullptr, &out.rows,
+                          &out.handles));
+  EXPECT_EQ(out.rows.size(), out.handles.size());
+  return out;
+}
+
+using Handles = std::vector<TupleHandle>;
+
+/// An MVCC database holding t(k double, tag string) with an equality
+/// index on k. Commits take explicit LSNs so tests can read between them.
+class ReadPrimitives : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_OK(db_.CreateTable(TableSchema(
+        "t", {{"k", ValueType::kDouble}, {"tag", ValueType::kString}})));
+    db_.EnableMvcc();
+    ASSERT_OK_AND_ASSIGN(table_, db_.GetTable("t"));
+    ASSERT_OK(table_->CreateIndex(0));
+  }
+
+  TupleHandle Insert(Value k, const char* tag) {
+    auto h = db_.InsertRow("t", Row{std::move(k), Value::String(tag)});
+    EXPECT_TRUE(h.ok()) << h.status();
+    return h.ok() ? h.value() : kInvalidHandle;
+  }
+
+  void Update(TupleHandle h, Value k, const char* tag) {
+    EXPECT_OK(db_.UpdateRow("t", h, Row{std::move(k), Value::String(tag)}));
+  }
+
+  Database db_;
+  Table* table_ = nullptr;
+};
+
+TEST_F(ReadPrimitives, PendingInsertIsVisibleOnlyAtTheHead) {
+  const TupleHandle h1 = Insert(Value::Double(1), "a");
+  db_.CommitAll(10);
+  const TupleHandle h2 = Insert(Value::Double(1), "pending");
+
+  EXPECT_EQ(ScanAt(*table_, kHeadLsn).handles, (Handles{h1, h2}));
+  EXPECT_EQ(ProbeAt(*table_, kHeadLsn, 0, Value::Double(1)).handles,
+            (Handles{h1, h2}));
+  for (uint64_t lsn : {uint64_t{0}, uint64_t{9}, uint64_t{10}, uint64_t{1000},
+                       kHeadLsn - 1}) {
+    const Handles committed = lsn >= 10 ? Handles{h1} : Handles{};
+    EXPECT_EQ(ScanAt(*table_, lsn).handles, committed) << "lsn " << lsn;
+    EXPECT_EQ(ProbeAt(*table_, lsn, 0, Value::Double(1)).handles, committed)
+        << "lsn " << lsn;
+  }
+}
+
+TEST_F(ReadPrimitives, PendingDeleteIsGoneAtTheHeadOnly) {
+  const TupleHandle h1 = Insert(Value::Double(1), "a");
+  db_.CommitAll(10);
+  const TupleHandle h2 = Insert(Value::Double(1), "b");
+  db_.CommitAll(20);
+  ASSERT_OK(db_.DeleteRow("t", h1));
+
+  EXPECT_EQ(ScanAt(*table_, kHeadLsn).handles, (Handles{h2}));
+  EXPECT_EQ(ProbeAt(*table_, kHeadLsn, 0, Value::Double(1)).handles,
+            (Handles{h2}));
+  EXPECT_EQ(ScanAt(*table_, 5).handles, Handles{});
+  EXPECT_EQ(ScanAt(*table_, 10).handles, (Handles{h1}));
+  EXPECT_EQ(ScanAt(*table_, 20).handles, (Handles{h1, h2}));
+  EXPECT_EQ(ProbeAt(*table_, 20, 0, Value::Double(1)).handles,
+            (Handles{h1, h2}));
+  const ReadOut at_10 = ScanAt(*table_, 10);
+  ASSERT_EQ(at_10.rows.size(), 1u);
+  EXPECT_EQ(at_10.rows[0].at(1), Value::String("a"));
+
+  db_.CommitAll(30);
+  EXPECT_EQ(ScanAt(*table_, 29).handles, (Handles{h1, h2}));
+  EXPECT_EQ(ScanAt(*table_, 30).handles, (Handles{h2}));
+}
+
+TEST_F(ReadPrimitives, EachVersionIsVisibleInItsOwnInterval) {
+  const TupleHandle h = Insert(Value::Double(1), "v1");
+  db_.CommitAll(10);
+  Update(h, Value::Double(2), "v2");
+  db_.CommitAll(20);
+  Update(h, Value::Double(3), "v3");
+  db_.CommitAll(30);
+  Update(h, Value::Double(4), "pending");
+
+  auto tag_at = [&](uint64_t at) -> std::string {
+    const ReadOut out = ScanAt(*table_, at);
+    if (out.rows.empty()) return "none";
+    EXPECT_EQ(out.handles, (Handles{h}));
+    return out.rows[0].at(1).AsString();
+  };
+  EXPECT_EQ(tag_at(9), "none");
+  EXPECT_EQ(tag_at(10), "v1");
+  EXPECT_EQ(tag_at(19), "v1");
+  EXPECT_EQ(tag_at(20), "v2");
+  EXPECT_EQ(tag_at(29), "v2");
+  EXPECT_EQ(tag_at(30), "v3");
+  EXPECT_EQ(tag_at(1000), "v3");
+  EXPECT_EQ(tag_at(kHeadLsn), "pending");
+
+  // The probe sees the same version: the key of each interval matches
+  // only inside it.
+  for (int k = 1; k <= 4; ++k) {
+    for (uint64_t at : {uint64_t{15}, uint64_t{25}, uint64_t{35}, kHeadLsn}) {
+      const int visible_k = at == 15 ? 1 : at == 25 ? 2 : at == 35 ? 3 : 4;
+      EXPECT_EQ(ProbeAt(*table_, at, 0, Value::Double(k)).handles,
+                k == visible_k ? Handles{h} : Handles{})
+          << "k " << k << " at " << at;
+    }
+  }
+}
+
+TEST_F(ReadPrimitives, ProbeOfSupersededVersionsUsesIndexKeyEquality) {
+  // Int 1 and Double 1.0 are one key, and so are -0.0 and 0.0; NULL is
+  // never a key. All of them are superseded at 20, so a read at 10 sees
+  // them only through the version chains.
+  const TupleHandle h_int = Insert(Value::Int(1), "int");
+  const TupleHandle h_double = Insert(Value::Double(1.0), "double");
+  const TupleHandle h_negzero = Insert(Value::Double(-0.0), "negzero");
+  const TupleHandle h_null = Insert(Value::Null(), "null");
+  const TupleHandle h_two = Insert(Value::Double(2), "two");
+  db_.CommitAll(10);
+  for (TupleHandle h : {h_int, h_double, h_negzero, h_null, h_two}) {
+    Update(h, Value::Double(7), "moved");
+  }
+  db_.CommitAll(20);
+
+  EXPECT_EQ(ProbeAt(*table_, 10, 0, Value::Int(1)).handles,
+            (Handles{h_int, h_double}));
+  EXPECT_EQ(ProbeAt(*table_, 10, 0, Value::Double(1.0)).handles,
+            (Handles{h_int, h_double}));
+  EXPECT_EQ(ProbeAt(*table_, 10, 0, Value::Double(0.0)).handles,
+            (Handles{h_negzero}));
+  EXPECT_EQ(ProbeAt(*table_, 10, 0, Value::Double(-0.0)).handles,
+            (Handles{h_negzero}));
+  EXPECT_EQ(ProbeAt(*table_, 10, 0, Value::Null()).handles, Handles{});
+  EXPECT_EQ(ProbeAt(*table_, 10, 0, Value::Double(7)).handles, Handles{});
+  // At 20 the live rows answer from the index.
+  EXPECT_EQ(ProbeAt(*table_, 20, 0, Value::Int(7)).handles,
+            (Handles{h_int, h_double, h_negzero, h_null, h_two}));
+  EXPECT_EQ(ProbeAt(*table_, 20, 0, Value::Double(1)).handles, Handles{});
+}
+
+TEST_F(ReadPrimitives, ProbeOnAnUnindexedColumnIsAScan) {
+  const TupleHandle h1 = Insert(Value::Double(1), "a");
+  const TupleHandle h2 = Insert(Value::Double(2), "b");
+  db_.CommitAll(10);
+  Update(h1, Value::Double(1), "a2");
+  db_.CommitAll(20);
+  ASSERT_OK(db_.DeleteRow("t", h2));
+  Insert(Value::Double(3), "pending");
+
+  for (uint64_t at : {uint64_t{5}, uint64_t{10}, uint64_t{20}, kHeadLsn}) {
+    const ReadOut scan = ScanAt(*table_, at);
+    const ReadOut probe = ProbeAt(*table_, at, 1, Value::String("a"));
+    EXPECT_EQ(probe.handles, scan.handles) << "at " << at;
+    EXPECT_EQ(probe.rows, scan.rows) << "at " << at;
+  }
+}
+
+TEST_F(ReadPrimitives, MergedOutputIsInAscendingHandleOrder) {
+  // At snapshot 10, h1 and h3 are live rows while h2 (updated) and h4
+  // (deleted) are only in their version chains: both arms interleave.
+  const TupleHandle h1 = Insert(Value::Double(1), "h1");
+  const TupleHandle h2 = Insert(Value::Double(1), "h2");
+  const TupleHandle h3 = Insert(Value::Double(1), "h3");
+  const TupleHandle h4 = Insert(Value::Double(1), "h4");
+  db_.CommitAll(10);
+  Update(h2, Value::Double(5), "h2 moved");
+  ASSERT_OK(db_.DeleteRow("t", h4));
+  db_.CommitAll(20);
+
+  const Handles all{h1, h2, h3, h4};
+  const ReadOut scan = ScanAt(*table_, 10);
+  EXPECT_EQ(scan.handles, all);
+  const ReadOut probe = ProbeAt(*table_, 10, 0, Value::Double(1));
+  EXPECT_EQ(probe.handles, all);
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(scan.rows[i].at(1).AsString(), "h" + std::to_string(i + 1));
+    EXPECT_EQ(probe.rows[i], scan.rows[i]);
+  }
+  EXPECT_EQ(ScanAt(*table_, kHeadLsn).handles, (Handles{h1, h2, h3}));
+}
+
+TEST_F(ReadPrimitives, HeadProbeLocksEachCandidateBeforeReadingIt) {
+  const TupleHandle h1 = Insert(Value::Double(1), "a");
+  const TupleHandle h2 = Insert(Value::Double(1), "b");
+  const TupleHandle h3 = Insert(Value::Double(1), "c");
+  db_.CommitAll(10);
+
+  // The lock callback runs outside the latch, so it may stand for a
+  // writer that deletes h2 while this reader waits for its lock.
+  Handles locked;
+  ReadOut out;
+  ASSERT_OK(table_->ProbeEq(
+      kHeadLsn, 0, Value::Double(1),
+      [&](TupleHandle h) {
+        locked.push_back(h);
+        if (h == h2) return table_->Erase(h2);
+        return Status::OK();
+      },
+      &out.rows, &out.handles));
+  EXPECT_EQ(locked, (Handles{h1, h2, h3}));
+  EXPECT_EQ(out.handles, (Handles{h1, h3}));
+
+  // A failed lock is the probe's outcome.
+  out = ReadOut{};
+  Status s = table_->ProbeEq(
+      kHeadLsn, 0, Value::Double(1),
+      [&](TupleHandle h) {
+        return h == h3 ? Status::Deadlock("lock wait") : Status::OK();
+      },
+      &out.rows, &out.handles);
+  EXPECT_EQ(s.code(), StatusCode::kDeadlock);
+}
+
 TEST(Database, DropTable) {
   Database db;
   ASSERT_OK(db.CreateTable(EmpSchema()));
