@@ -44,10 +44,13 @@ Result<std::vector<std::string>> ConstraintCompiler::AddReferential(
   }
   names.push_back(del_rule);
 
-  // (b) Child insert / FK update must reference an existing parent.
+  // (b) Child insert / FK update must reference an existing parent. The
+  // key list leaves NULL parent keys out: one NULL would make every
+  // `not in` below UNKNOWN, and no check would ever fire.
   std::string chk_rule = c.name + "_child_check";
-  std::string parent_keys =
-      "(select " + c.parent_column + " from " + c.parent_table + ")";
+  std::string parent_keys = "(select " + c.parent_column + " from " +
+                            c.parent_table + " where " + c.parent_column +
+                            " is not null)";
   SOPR_RETURN_NOT_OK(Install(
       "create rule " + chk_rule + " when inserted into " + c.child_table +
       " or updated " + c.child_table + "." + c.child_column +

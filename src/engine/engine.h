@@ -109,18 +109,13 @@ class Engine {
   /// path). Consumes create-rule statements from `stmts`.
   Status ExecuteDdlScript(std::vector<StmtPtr>& stmts);
 
-  // --- MVCC snapshot reads (docs/CONCURRENCY.md) ---
-  /// Turns on version tracking. Call after recovery and before concurrent
-  /// readers exist (the SessionManager does this).
-  void EnableMvcc() { db_->EnableMvcc(); }
-
   // --- Record-level write locking (docs/CONCURRENCY.md) ---
   /// Turns on record-level write locking so writer sessions touching
   /// disjoint rows can run concurrently (the CommitScheduler then admits
-  /// writers under the shared side of its lock). Requires MVCC — rollback
-  /// of a lock-victim transaction rides the MVCC undo/journal machinery,
-  /// and readers need version latches once writers overlap. Call before
-  /// concurrent writers exist (the SessionManager does this).
+  /// writers under the shared side of its lock). Rollback of a
+  /// lock-victim transaction is the storage's structural undo, and
+  /// readers take the tables' version latches. Call before concurrent
+  /// writers exist (the SessionManager does this).
   void EnableConcurrentWriters() {
     db_->EnableWriteLocking();
     // Bound every lock wait by the configured timeout (docs/OVERLOAD.md);

@@ -68,8 +68,9 @@ Result<std::string> DumpDatabase(Engine* engine) {
   for (const std::string& name : engine->db().catalog().TableNames()) {
     SOPR_ASSIGN_OR_RETURN(const Table* table, engine->db().GetTable(name));
     size_t emitted = 0;
-    for (const auto& [handle, row] : table->rows()) {
+    for (const auto& [handle, entry] : table->rows()) {
       (void)handle;
+      const Row& row = entry.row;
       if (emitted % kRowsPerInsert == 0) {
         if (emitted > 0) out += ";\n";
         out += "insert into " + name + " values ";

@@ -149,11 +149,10 @@ Result<std::shared_ptr<Replica>> Follower::Bootstrap() {
   SOPR_ASSIGN_OR_RETURN(
       wal::RecoveryStats stats,
       wal::RecoverDatabase(dir_, replica->engine.get(), recover_opts));
-  // MVCC on AFTER bootstrap replay (like the primary's startup): rows
-  // already replayed carry no versions and are visible at any snapshot;
-  // every group applied from the tail onward is stamped at its commit
-  // LSN, so pinned readers see exactly a committed prefix.
-  replica->engine->EnableMvcc();
+  // Bootstrap replay stamped every recovered row at its commit LSN (the
+  // snapshot's at covers_lsn); every group applied from the tail onward
+  // is stamped at its commit LSN too, so pinned readers see exactly a
+  // committed prefix.
   replica->scheduler =
       std::make_unique<server::CommitScheduler>(replica->engine.get());
   replica->scheduler->EnterReplicaMode();
@@ -166,7 +165,6 @@ Result<std::shared_ptr<Replica>> Follower::Bootstrap() {
   wal::GroupReplayer::Options replay_opts;
   replay_opts.covers_lsn = stats.covers_lsn;
   replay_opts.applied_lsn = stats.applied_lsn;
-  replay_opts.stamp_mvcc = true;
   server::CommitScheduler* scheduler = replica->scheduler.get();
   replay_opts.around = [scheduler](
                            bool ddl,

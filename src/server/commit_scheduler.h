@@ -31,8 +31,8 @@ struct CommitReceipt {
 };
 
 /// The ticketed executor in front of the shared Engine
-/// (docs/CONCURRENCY.md). The engine runs with MVCC and record-level
-/// write locking (Engine::EnableMvcc, Engine::EnableConcurrentWriters),
+/// (docs/CONCURRENCY.md). The engine runs with record-level write
+/// locking (Engine::EnableConcurrentWriters) over its versioned storage,
 /// and a transaction moves through:
 ///
 ///   parse (caller's thread, no lock)

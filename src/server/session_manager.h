@@ -34,15 +34,13 @@ class SessionManager {
       RuleEngineOptions options);
 
   /// Wraps an already-opened engine (tests that build the parts by hand)
-  /// and puts it in the server's one configuration: MVCC snapshot reads
-  /// plus record-level write locking, so disjoint-row writer sessions
-  /// overlap end-to-end. Recovery (if any) already ran inside
-  /// Engine::Open, so recovered rows stay unversioned — visible at every
-  /// snapshot — and version tracking starts with the first post-open
-  /// commit.
+  /// and puts it in the server's one configuration: record-level write
+  /// locking, so disjoint-row writer sessions overlap end-to-end, with
+  /// snapshot reads over the engine's versioned storage. Recovery (if
+  /// any) already ran inside Engine::Open and stamped the recovered rows
+  /// at their commit LSNs, so the first pin reads the recovered state.
   explicit SessionManager(std::unique_ptr<Engine> engine)
       : engine_(std::move(engine)), scheduler_(engine_.get()) {
-    engine_->EnableMvcc();
     engine_->EnableConcurrentWriters();
   }
   SessionManager(const SessionManager&) = delete;

@@ -42,14 +42,17 @@ UndoLog& Database::active_undo() const {
   return ctx != nullptr ? ctx->undo : undo_;
 }
 
-std::vector<std::pair<std::string, TupleHandle>>& Database::active_journal()
+std::vector<std::pair<std::string, TupleHandle>> Database::TouchedRows()
     const {
-  TxnContext* ctx = txn_ctx();
-  return ctx != nullptr ? ctx->journal : mvcc_journal_;
+  std::vector<std::pair<std::string, TupleHandle>> touched;
+  for (const UndoRecord& rec : active_undo().records()) {
+    touched.emplace_back(rec.table, rec.handle);
+  }
+  return touched;
 }
 
 void Database::BeginTxn() {
-  if (locks_ == nullptr) return;  // legacy single-writer regime
+  if (locks_ == nullptr) return;  // one database-wide undo log
   if (txn_ctx() != nullptr) return;  // already bound (idempotent)
   auto ctx = std::make_unique<TxnContext>();
   ctx->txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
@@ -123,14 +126,8 @@ bool Database::VerifyNoPending(std::string_view table,
 Status Database::CreateTable(TableSchema schema) {
   std::string key = ToLower(schema.name());
   SOPR_RETURN_NOT_OK(catalog_.AddTable(schema));
-  auto [it, inserted] = tables_.emplace(std::move(key), Table(std::move(schema)));
-  if (inserted && mvcc_enabled_) it->second.EnableMvcc();
+  tables_.try_emplace(std::move(key), std::move(schema));
   return Status::OK();
-}
-
-void Database::EnableMvcc() {
-  mvcc_enabled_ = true;
-  for (auto& [name, table] : tables_) table.EnableMvcc();
 }
 
 Status Database::DropTable(std::string_view name) {
@@ -175,7 +172,8 @@ Result<TupleHandle> Database::InsertRow(std::string_view table, Row row) {
   // applied: without the records, rollback could not remove it, or a
   // commit would silently lose it from the durable log.
   UndoLog::Mark pos = undo.mark();
-  Status logged = undo.RecordInsert(ToLower(table), handle);
+  Status logged = undo.Record(UndoRecord::Kind::kInsert, ToLower(table),
+                              handle);
   if (logged.ok() && wal_ != nullptr) {
     logged = wal_->RedoInsert(pos, ToLower(table), handle, wal_image);
     if (!logged.ok()) undo.TruncateTo(pos);  // drop the orphan undo record
@@ -185,7 +183,6 @@ Result<TupleHandle> Database::InsertRow(std::string_view table, Row row) {
     SOPR_RETURN_NOT_OK(t->RollbackInsert(handle));
     return logged;
   }
-  if (mvcc_enabled_) active_journal().emplace_back(ToLower(table), handle);
   SOPR_FAILPOINT_RETURN("storage.insert.post");
   return handle;
 }
@@ -199,21 +196,24 @@ Status Database::DeleteRow(std::string_view table, TupleHandle handle) {
   // Lock before reading the before-image: the row must not change under
   // us between the read and the erase.
   SOPR_RETURN_NOT_OK(LockMutation(table, handle));
-  SOPR_ASSIGN_OR_RETURN(Row old_row, t->GetCopy(handle));
+  Row wal_before;
+  if (wal_ != nullptr) {
+    SOPR_ASSIGN_OR_RETURN(wal_before, t->GetCopy(handle));
+  }
   UndoLog& undo = active_undo();
   SOPR_RETURN_NOT_OK(t->Erase(handle));
   UndoLog::Mark pos = undo.mark();
-  Status logged = undo.RecordDelete(ToLower(table), handle, old_row);
+  Status logged =
+      undo.Record(UndoRecord::Kind::kDelete, ToLower(table), handle);
   if (logged.ok() && wal_ != nullptr) {
-    logged = wal_->RedoDelete(pos, ToLower(table), handle, old_row);
+    logged = wal_->RedoDelete(pos, ToLower(table), handle, wal_before);
     if (!logged.ok()) undo.TruncateTo(pos);  // drop the orphan undo record
   }
   if (!logged.ok()) {
     FailpointRegistry::SuppressScope no_failpoints;  // revert is infallible
-    SOPR_RETURN_NOT_OK(t->RollbackDelete(handle, std::move(old_row)));
+    SOPR_RETURN_NOT_OK(t->RollbackDelete(handle));
     return logged;
   }
-  if (mvcc_enabled_) active_journal().emplace_back(ToLower(table), handle);
   SOPR_FAILPOINT_RETURN("storage.delete.post");
   return Status::OK();
 }
@@ -227,23 +227,28 @@ Status Database::UpdateRow(std::string_view table, TupleHandle handle,
   SOPR_ASSIGN_OR_RETURN(Table * t, GetTable(table));
   SOPR_RETURN_NOT_OK(t->schema().CheckRow(new_row));
   SOPR_RETURN_NOT_OK(LockMutation(table, handle));
-  SOPR_ASSIGN_OR_RETURN(Row old_row, t->GetCopy(handle));
-  UndoLog& undo = active_undo();
+  // Before- and after-images for the redo record.
+  Row wal_before;
   Row wal_after;
-  if (wal_ != nullptr) wal_after = new_row;  // post-image for the redo record
+  if (wal_ != nullptr) {
+    SOPR_ASSIGN_OR_RETURN(wal_before, t->GetCopy(handle));
+    wal_after = new_row;
+  }
+  UndoLog& undo = active_undo();
   SOPR_RETURN_NOT_OK(t->Replace(handle, std::move(new_row)));
   UndoLog::Mark pos = undo.mark();
-  Status logged = undo.RecordUpdate(ToLower(table), handle, old_row);
+  Status logged =
+      undo.Record(UndoRecord::Kind::kUpdate, ToLower(table), handle);
   if (logged.ok() && wal_ != nullptr) {
-    logged = wal_->RedoUpdate(pos, ToLower(table), handle, old_row, wal_after);
+    logged = wal_->RedoUpdate(pos, ToLower(table), handle, wal_before,
+                              wal_after);
     if (!logged.ok()) undo.TruncateTo(pos);  // drop the orphan undo record
   }
   if (!logged.ok()) {
     FailpointRegistry::SuppressScope no_failpoints;  // revert is infallible
-    SOPR_RETURN_NOT_OK(t->RollbackUpdate(handle, std::move(old_row)));
+    SOPR_RETURN_NOT_OK(t->RollbackUpdate(handle));
     return logged;
   }
-  if (mvcc_enabled_) active_journal().emplace_back(ToLower(table), handle);
   SOPR_FAILPOINT_RETURN("storage.update.post");
   return Status::OK();
 }
@@ -276,58 +281,63 @@ Status Database::RollbackTo(UndoLog::Mark mark) {
         SOPR_RETURN_NOT_OK(t->RollbackInsert(rec.handle));
         break;
       case UndoRecord::Kind::kDelete:
-        SOPR_RETURN_NOT_OK(t->RollbackDelete(rec.handle, rec.old_row));
+        SOPR_RETURN_NOT_OK(t->RollbackDelete(rec.handle));
         break;
       case UndoRecord::Kind::kUpdate:
-        SOPR_RETURN_NOT_OK(t->RollbackUpdate(rec.handle, rec.old_row));
+        SOPR_RETURN_NOT_OK(t->RollbackUpdate(rec.handle));
         break;
     }
   }
   undo.TruncateTo(mark);
-  // Keep the MVCC journal 1:1 with the undo log: the rolled-back
-  // mutations left no version state behind (structural undo), so their
-  // journal entries must go too.
-  auto& journal = active_journal();
-  if (journal.size() > mark) journal.resize(mark);
   return Status::OK();
 }
 
 void Database::CommitAll(uint64_t commit_lsn) {
-  auto& journal = active_journal();
-  if (mvcc_enabled_ && !journal.empty()) {
+  UndoLog& undo = active_undo();
+  if (!undo.empty()) {
     if (commit_lsn == 0) {
       // No WAL: synthesize a commit LSN. The single-writer discipline —
       // or, with concurrent writers, the rule engine's commit mutex —
       // makes the read-modify-write safe.
       commit_lsn = last_commit_lsn_.load(std::memory_order_acquire) + 1;
     }
-    for (const auto& [table, handle] : journal) {
-      auto t = GetTable(table);
-      if (t.ok()) t.value()->StampVersions(handle, commit_lsn);
-    }
-    if (prune_floor_) {
-      // Incremental version-chain pruning (docs/CONCURRENCY.md): retire,
-      // for just the handles this commit touched, every superseded
-      // version no pinned snapshot and no future pin can see. The pin
-      // set and the floor are collected in ONE registry critical
-      // section, so a pin registered later necessarily reads an LSN >=
-      // the floor and cannot need anything pruned below it. Non-blocking
-      // on purpose: a pin acquisition can be parked inside the registry's
-      // critical section (server.pin.acquire), and a committer must not
-      // wait behind it — a skipped prune is retried by the next commit
-      // touching the chain, and checkpoints prune unconditionally.
-      std::vector<uint64_t> pins;
-      uint64_t floor = 0;
-      if (snapshots_.TryCollectPinned(prune_floor_, &pins, &floor)) {
-        auto touched = journal;
-        std::sort(touched.begin(), touched.end());
-        touched.erase(std::unique(touched.begin(), touched.end()),
-                      touched.end());
-        for (const auto& [table, handle] : touched) {
-          auto t = GetTable(table);
-          if (t.ok()) t.value()->PruneChainPinned(handle, pins, floor);
-        }
+    // Commit-time pruning (docs/CONCURRENCY.md): retire, for just the
+    // handles this commit touched, every superseded version no pinned
+    // snapshot and no future pin can see. The pin set and the floor are
+    // collected in ONE registry critical section, so a pin registered
+    // later necessarily reads an LSN >= the floor and cannot need
+    // anything pruned below it. Non-blocking on purpose: a pin
+    // acquisition can be parked inside the registry's critical section
+    // (server.pin.acquire), and a committer must not wait behind it — a
+    // skipped prune is retried by the next commit touching the chain,
+    // and checkpoints prune unconditionally. A skipped collection leaves
+    // no pins and floor 0, which keeps every stamped version.
+    std::vector<uint64_t> pins;
+    uint64_t floor = 0;
+    snapshots_.TryCollectPinned(
+        prune_floor_ ? prune_floor_
+                     : std::function<uint64_t()>([commit_lsn] {
+                         return commit_lsn;
+                       }),
+        &pins, &floor);
+    // The undo log names every (table, handle) this transaction wrote.
+    // Group them per table so each table is stamped and pruned under one
+    // exclusive latch.
+    std::vector<std::pair<std::string_view, std::vector<TupleHandle>>>
+        touched;
+    for (const UndoRecord& rec : undo.records()) {
+      auto it = std::find_if(touched.begin(), touched.end(), [&](auto& t) {
+        return t.first == rec.table;
+      });
+      if (it == touched.end()) {
+        it = touched.emplace(touched.end(), rec.table,
+                             std::vector<TupleHandle>());
       }
+      it->second.push_back(rec.handle);
+    }
+    for (const auto& [table, handles] : touched) {
+      auto t = GetTable(table);
+      if (t.ok()) t.value()->Commit(handles, commit_lsn, pins, floor);
     }
   }
   uint64_t prev = last_commit_lsn_.load(std::memory_order_acquire);
@@ -335,8 +345,7 @@ void Database::CommitAll(uint64_t commit_lsn) {
                                   prev, commit_lsn,
                                   std::memory_order_acq_rel)) {
   }
-  journal.clear();
-  active_undo().Clear();
+  undo.Clear();
 }
 
 size_t Database::PruneVersions(uint64_t floor) {
@@ -356,7 +365,7 @@ size_t Database::VersionCount() const {
 // ---------------------------------------------------------------------------
 
 Status Database::ApplyRedoInsert(std::string_view table, TupleHandle handle,
-                                 Row after) {
+                                 Row after, uint64_t begin) {
   FailpointRegistry::SuppressScope no_failpoints;
   SOPR_ASSIGN_OR_RETURN(Table * t, GetTable(table));
   if (t->Contains(handle)) {
@@ -365,12 +374,13 @@ Status Database::ApplyRedoInsert(std::string_view table, TupleHandle handle,
                             " already present");
   }
   SOPR_RETURN_NOT_OK(t->schema().CheckRow(after));
-  SOPR_RETURN_NOT_OK(t->Insert(handle, std::move(after)));
-  // With MVCC on (a replication follower applying while readers are
-  // pinned) the mutation left a kPendingLsn sentinel; journal it so the
-  // follower's per-group CommitAll stamps it at the commit LSN. Plain
-  // recovery runs before EnableMvcc and never journals.
-  if (mvcc_enabled_) active_journal().emplace_back(ToLower(table), handle);
+  SOPR_RETURN_NOT_OK(t->Insert(handle, std::move(after), begin));
+  // A pending row waits for the group's CommitAll to stamp it at the
+  // COMMIT record's LSN.
+  if (begin == kPendingLsn) {
+    active_undo().RecordApplied(UndoRecord::Kind::kInsert, ToLower(table),
+                                handle);
+  }
   BumpNextHandle(handle + 1);
   return Status::OK();
 }
@@ -387,7 +397,8 @@ Status Database::ApplyRedoDelete(std::string_view table, TupleHandle handle,
                             std::to_string(handle));
   }
   SOPR_RETURN_NOT_OK(t->Erase(handle));
-  if (mvcc_enabled_) active_journal().emplace_back(ToLower(table), handle);
+  active_undo().RecordApplied(UndoRecord::Kind::kDelete, ToLower(table),
+                              handle);
   BumpNextHandle(handle + 1);
   return Status::OK();
 }
@@ -405,7 +416,8 @@ Status Database::ApplyRedoUpdate(std::string_view table, TupleHandle handle,
   }
   SOPR_RETURN_NOT_OK(t->schema().CheckRow(after));
   SOPR_RETURN_NOT_OK(t->Replace(handle, std::move(after)));
-  if (mvcc_enabled_) active_journal().emplace_back(ToLower(table), handle);
+  active_undo().RecordApplied(UndoRecord::Kind::kUpdate, ToLower(table),
+                              handle);
   BumpNextHandle(handle + 1);
   return Status::OK();
 }
@@ -467,10 +479,10 @@ uint64_t Database::Checksum() const {
       }
       sum += digest::Finalize(h);
     }
-    for (const auto& [handle, row] : table.rows()) {
+    for (const auto& [handle, entry] : table.rows()) {
       uint64_t h = digest::Mix(kRowSeed, name.data(), name.size());
       h = digest::MixU64(h, handle);
-      for (size_t c = 0; c < row.size(); ++c) h = HashValue(h, row.at(c));
+      for (const Value& v : entry.row.values()) h = HashValue(h, v);
       sum += digest::Finalize(h);
     }
     for (size_t c = 0; c < table.schema().num_columns(); ++c) {
@@ -505,10 +517,10 @@ uint64_t Database::LogicalChecksum() const {
     // Rows by value only — no handle, and no index entries (index
     // contents map values to handles). The commutative sum makes this a
     // multiset digest, so duplicate rows still count separately.
-    for (const auto& [handle, row] : table.rows()) {
+    for (const auto& [handle, entry] : table.rows()) {
       (void)handle;
       uint64_t h = digest::Mix(kRowSeed, name.data(), name.size());
-      for (size_t c = 0; c < row.size(); ++c) h = HashValue(h, row.at(c));
+      for (const Value& v : entry.row.values()) h = HashValue(h, v);
       sum += digest::Finalize(h);
     }
   }
@@ -540,8 +552,8 @@ Status Database::CheckInvariants() const {
       const ColumnIndex* index = table.GetIndex(c);
       if (index == nullptr) continue;
       size_t indexed_rows = 0;
-      for (const auto& [handle, row] : table.rows()) {
-        const Value& key = row.at(c);
+      for (const auto& [handle, entry] : table.rows()) {
+        const Value& key = entry.row.at(c);
         if (key.is_null()) continue;  // NULLs are not indexed
         ++indexed_rows;
         const std::set<TupleHandle>* bucket = index->Lookup(key);

@@ -20,11 +20,12 @@
 
 namespace sopr {
 
-/// A single-user relational database state: catalog + heap tables +
+/// A relational database state: catalog + versioned heap tables +
 /// transaction-scope undo log. This is the substrate the paper assumes
 /// ("multiple users, concurrent processing, and failures are all
-/// transparent", §2.1): mutations are applied immediately and can be
-/// rolled back to any earlier mark within the current transaction.
+/// transparent", §2.1): mutations are applied immediately, can be rolled
+/// back to any earlier mark within the current transaction, and become
+/// visible to snapshot readers at their commit LSN.
 class Database {
  public:
   Database() = default;
@@ -61,12 +62,15 @@ class Database {
   void set_wal(RedoSink* wal) { wal_ = wal; }
 
   /// --- Recovery-only redo application ---
-  /// Applies a logged mutation verbatim: failpoints suppressed, no undo or
-  /// redo emitted, before-images validated against the heap (a mismatch is
+  /// Applies a logged mutation verbatim: failpoints suppressed, no redo
+  /// emitted, before-images validated against the heap (a mismatch is
   /// kDataLoss — the log and the recovered state have diverged), and
-  /// next_handle bumped past any handle seen.
+  /// next_handle bumped past any handle seen. The mutation is undo-logged
+  /// past the undo budget, so the caller's CommitAll stamps it; an insert
+  /// given a committed `begin` (a checkpoint snapshot's row, at its
+  /// covers_lsn) is stamped already and is not logged.
   Status ApplyRedoInsert(std::string_view table, TupleHandle handle,
-                         Row after);
+                         Row after, uint64_t begin = kPendingLsn);
   Status ApplyRedoDelete(std::string_view table, TupleHandle handle,
                          const Row& before);
   Status ApplyRedoUpdate(std::string_view table, TupleHandle handle,
@@ -84,17 +88,16 @@ class Database {
 
   /// --- Transaction support ---
   ///
-  /// Two regimes share these entry points. In the legacy single-writer
-  /// regime (no write locking, or no bound transaction) the database-wide
-  /// undo log and MVCC journal are used directly, exactly as before. With
+  /// Without write locking (or without a bound transaction) the
+  /// transaction-scoped APIs below use one database-wide undo log. With
   /// write locking enabled (EnableWriteLocking) a caller binds a
   /// per-transaction context to ITS THREAD via BeginTxn/EndTxn; every
   /// transaction-scoped API below (UndoMark, RollbackTo, CommitAll,
-  /// undo_log_size, the budget, and the mutation paths' undo/journal
-  /// appends) then routes to the calling thread's context, so concurrent
-  /// writers never share undo state. Mutations additionally take record
-  /// X locks (table IX) for the bound transaction; strict two-phase —
-  /// EndTxn is the single release point, after commit or full rollback.
+  /// undo_log_size, the budget, and the mutation paths' undo appends)
+  /// then routes to the calling thread's context, so concurrent writers
+  /// never share undo state. Mutations additionally take record X locks
+  /// (table IX) for the bound transaction; strict two-phase — EndTxn is
+  /// the single release point, after commit or full rollback.
 
   /// Binds a fresh transaction context to the calling thread (requires
   /// EnableWriteLocking; no-op otherwise). Must be paired with EndTxn.
@@ -116,10 +119,11 @@ class Database {
   /// handles are never reused even across rollback.
   Status RollbackTo(UndoLog::Mark mark);
 
-  /// Commit point: forget undo information (the paper's model has no
-  /// post-commit rollback). With MVCC on, also stamps every version this
-  /// transaction wrote to `commit_lsn` — callers with a WAL pass the
-  /// COMMIT record's LSN; callers without one pass 0 and get a synthetic
+  /// Commit point: stamps every version this transaction wrote (the rows
+  /// its undo log names) to `commit_lsn`, prunes what no snapshot can
+  /// see any more, and forgets the undo information (the paper's model
+  /// has no post-commit rollback). Callers with a WAL pass the COMMIT
+  /// record's LSN; callers without one pass 0 and get a synthetic
   /// monotonically increasing LSN.
   void CommitAll(uint64_t commit_lsn = 0);
 
@@ -142,12 +146,13 @@ class Database {
   Status LockRecordForRead(std::string_view table, TupleHandle h) const;
   Status LockRecordForWrite(std::string_view table, TupleHandle h) const;
 
-  /// Commit-time incremental pruning: when set, CommitAll prunes each
-  /// touched handle's version chain against the currently pinned
-  /// snapshots plus this floor (the scheduler's published visible LSN —
-  /// any future pin gets an LSN >= it). Unset (default), version state
-  /// is only pruned at checkpoints, preserving the in-memory engines'
-  /// ability to pin arbitrary historical LSNs.
+  /// Commit-time pruning floor (docs/CONCURRENCY.md): CommitAll prunes
+  /// each touched handle's version chain against the currently pinned
+  /// snapshots plus a floor below which no future pin can read. Set, the
+  /// floor is this provider (the scheduler's published visible LSN —
+  /// any future pin gets an LSN >= it). Unset (default), it is the
+  /// commit's own LSN: a reader must pin an LSN before the commit that
+  /// supersedes what it reads.
   void set_incremental_prune_floor(std::function<uint64_t()> floor) {
     prune_floor_ = std::move(floor);
   }
@@ -157,19 +162,11 @@ class Database {
   bool VerifyNoPending(std::string_view table, TupleHandle handle) const;
 
   /// The (table, handle) pairs the calling thread's transaction has
-  /// mutated so far (MVCC journal snapshot; may contain duplicates).
-  /// Capture BEFORE RollbackTo — rollback truncates the journal.
-  std::vector<std::pair<std::string, TupleHandle>> TouchedRows() const {
-    return active_journal();
-  }
+  /// mutated so far, read from its undo log (may contain duplicates).
+  /// Capture BEFORE RollbackTo — rollback truncates the log.
+  std::vector<std::pair<std::string, TupleHandle>> TouchedRows() const;
 
-  // --- MVCC ---------------------------------------------------------------
-
-  /// Turns on version tracking for every current and future table.
-  /// Must happen before concurrent readers exist and after recovery (so
-  /// recovered rows stay unversioned, i.e. visible at snapshot 0).
-  void EnableMvcc();
-  bool mvcc_enabled() const { return mvcc_enabled_; }
+  // --- Versions -----------------------------------------------------------
 
   /// LSN of the most recent commit (0 before the first one). This is the
   /// newest meaningful snapshot point.
@@ -224,13 +221,11 @@ class Database {
 
  private:
   /// Per-transaction mutable state, bound to one thread between
-  /// BeginTxn and EndTxn. Each concurrent writer gets its own undo log
-  /// and MVCC journal; the lock manager id doubles as the wait-for-graph
-  /// node.
+  /// BeginTxn and EndTxn. Each concurrent writer gets its own undo log;
+  /// the lock manager id doubles as the wait-for-graph node.
   struct TxnContext {
     uint64_t txn_id = 0;
     UndoLog undo;
-    std::vector<std::pair<std::string, TupleHandle>> journal;
   };
   /// The calling thread's (database -> context) bindings.
   static std::vector<std::pair<const Database*, std::unique_ptr<TxnContext>>>&
@@ -240,7 +235,6 @@ class Database {
   /// The undo log transaction-scoped APIs operate on: the bound
   /// context's when one exists, the database-wide legacy log otherwise.
   UndoLog& active_undo() const;
-  std::vector<std::pair<std::string, TupleHandle>>& active_journal() const;
   /// Record-X acquisition for the bound transaction (no-op when
   /// unbound / locking off). Every mutation path calls this before
   /// touching the heap.
@@ -268,8 +262,8 @@ class Database {
 
   Catalog catalog_;
   std::map<std::string, Table> tables_;  // key: lowercased name
-  /// Mutable because active_undo()/active_journal() are const (they are
-  /// reached from const transaction-scoped accessors like UndoMark).
+  /// Mutable because active_undo() is const (it is reached from const
+  /// transaction-scoped accessors like UndoMark).
   mutable UndoLog undo_;
   RedoSink* wal_ = nullptr;  // not owned; null when durability is off
   std::atomic<TupleHandle> next_handle_{1};
@@ -278,14 +272,9 @@ class Database {
   /// Null until EnableWriteLocking().
   std::unique_ptr<LockManager> locks_;
   std::atomic<uint64_t> next_txn_id_{1};
-  /// Commit-time prune floor provider; unset = no incremental pruning.
+  /// Commit-time prune floor provider; unset = each commit's own LSN.
   std::function<uint64_t()> prune_floor_;
 
-  bool mvcc_enabled_ = false;
-  /// One entry per undo record (same order): which (table, handle) this
-  /// transaction touched, so CommitAll can stamp the pending version
-  /// sentinels. Truncated in lockstep with the undo log on rollback.
-  mutable std::vector<std::pair<std::string, TupleHandle>> mvcc_journal_;
   std::atomic<uint64_t> last_commit_lsn_{0};
   mutable SnapshotRegistry snapshots_;
 };

@@ -34,27 +34,13 @@ uint64_t SnapshotRegistry::OldestPinnedOr(uint64_t fallback) const {
   return *pinned_.begin();
 }
 
-uint64_t SnapshotRegistry::CollectPinned(
-    const std::function<uint64_t()>& current,
-    std::vector<uint64_t>* pins) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  pins->assign(pinned_.begin(), pinned_.end());  // multiset: ascending
-  return current();
-}
-
-bool SnapshotRegistry::TryCollectPinned(
+void SnapshotRegistry::TryCollectPinned(
     const std::function<uint64_t()>& current,
     std::vector<uint64_t>* pins, uint64_t* floor) const {
   std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return false;
+  if (!lock.owns_lock()) return;
   pins->assign(pinned_.begin(), pinned_.end());  // multiset: ascending
   *floor = current();
-  return true;
-}
-
-size_t SnapshotRegistry::num_pinned() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pinned_.size();
 }
 
 }  // namespace sopr

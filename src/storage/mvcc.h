@@ -36,9 +36,9 @@ struct RowVersion {
   Row row;
 };
 
-/// The set of snapshot LSNs currently pinned by readers. Checkpoint
-/// pruning may discard a version only when no pinned snapshot can still
-/// see it (wal/checkpoint.cc).
+/// The set of snapshot LSNs currently pinned by readers. Commit-time and
+/// checkpoint pruning may discard a version only when no pinned snapshot
+/// can still see it (Database::CommitAll, wal/checkpoint.cc).
 class SnapshotRegistry {
  public:
   /// RAII pin: while alive, versions visible at `lsn` survive pruning.
@@ -98,24 +98,17 @@ class SnapshotRegistry {
   /// the head state needs to stay reconstructible).
   uint64_t OldestPinnedOr(uint64_t fallback) const;
 
-  size_t num_pinned() const;
-
   /// Snapshot of the pinned set plus a floor, taken in ONE critical
-  /// section of the registry mutex (commit-time incremental pruning,
+  /// section of the registry mutex (commit-time pruning,
   /// docs/CONCURRENCY.md): `*pins` gets every pinned LSN ascending, and
-  /// the returned floor is `current()` evaluated under the mutex — so a
-  /// pin registered later (via AcquireCurrent against the same source)
+  /// `*floor` is `current()` evaluated under the mutex — so a pin
+  /// registered later (via AcquireCurrent against the same source)
   /// necessarily reads an LSN >= the floor and cannot need a version the
-  /// caller prunes below it.
-  uint64_t CollectPinned(const std::function<uint64_t()>& current,
-                         std::vector<uint64_t>* pins) const;
-
-  /// Non-blocking variant for commit-time incremental pruning: returns
-  /// false (collecting nothing) if the registry mutex is contended — a
-  /// pin acquisition may be parked inside its critical section, and a
-  /// committer must never wait behind it (skipping a prune is always
-  /// safe; the next commit or checkpoint retries).
-  bool TryCollectPinned(const std::function<uint64_t()>& current,
+  /// caller prunes below it. Leaves both untouched if the mutex is
+  /// contended — a pin acquisition may be parked inside its critical
+  /// section, and a committer must never wait behind it (skipping a
+  /// prune is always safe; the next commit or checkpoint retries).
+  void TryCollectPinned(const std::function<uint64_t()>& current,
                         std::vector<uint64_t>* pins, uint64_t* floor) const;
 
  private:

@@ -8,32 +8,22 @@ namespace sopr {
 
 namespace {
 
-/// Lock helper: an engaged unique_lock when MVCC is on, disengaged (and
-/// free) otherwise. Writers use this so the non-MVCC single-user path
-/// pays nothing.
-template <typename Mutex>
-std::unique_lock<Mutex> MaybeLock(Mutex* mu) {
-  return mu == nullptr ? std::unique_lock<Mutex>()
-                       : std::unique_lock<Mutex>(*mu);
+Status NoTuple(TupleHandle handle, const TableSchema& schema) {
+  return Status::ExecutionError("no tuple with handle " +
+                                std::to_string(handle) + " in table " +
+                                schema.name());
 }
 
 }  // namespace
 
-std::shared_lock<std::shared_mutex> Table::ReadLatch() const {
-  return mvcc_ == nullptr ? std::shared_lock<std::shared_mutex>()
-                          : std::shared_lock<std::shared_mutex>(mvcc_->mu);
-}
-
-void Table::EnableMvcc() {
-  if (mvcc_ == nullptr) mvcc_ = std::make_unique<MvccState>();
-}
-
-Status Table::Insert(TupleHandle handle, Row row) {
+Status Table::Insert(TupleHandle handle, Row row, uint64_t begin) {
   if (handle == kInvalidHandle) {
     return Status::Internal("attempt to insert with invalid handle");
   }
-  auto lock = MaybeLock(mvcc_ == nullptr ? nullptr : &mvcc_->mu);
-  auto [it, inserted] = rows_.emplace(handle, std::move(row));
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  // A pending row is invisible to every snapshot until the owning
+  // transaction commits and stamps the sentinel to its commit LSN.
+  auto [it, inserted] = rows_.emplace(handle, HeapEntry{std::move(row), begin});
   if (!inserted) {
     return Status::Internal("duplicate tuple handle " +
                             std::to_string(handle) + " in table " +
@@ -47,88 +37,78 @@ Status Table::Insert(TupleHandle handle, Row row) {
     return fault;
   }
   for (ColumnIndex& index : indexes_) {
-    index.Insert(it->second.at(index.column()), handle);
+    index.Insert(it->second.row.at(index.column()), handle);
   }
-  // Invisible to every snapshot until the owning transaction commits and
-  // stamps the sentinel to its commit LSN.
-  if (mvcc_ != nullptr) mvcc_->live_begin[handle] = kPendingLsn;
   return Status::OK();
 }
 
 Status Table::Erase(TupleHandle handle) {
-  auto lock = MaybeLock(mvcc_ == nullptr ? nullptr : &mvcc_->mu);
+  std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = rows_.find(handle);
-  if (it == rows_.end()) {
-    return Status::Internal("no tuple with handle " + std::to_string(handle) +
-                            " in table " + schema_.name());
-  }
+  if (it == rows_.end()) return NoTuple(handle, schema_);
   for (ColumnIndex& index : indexes_) {
-    index.Erase(it->second.at(index.column()), handle);
+    index.Erase(it->second.row.at(index.column()), handle);
   }
   // Index entries are already gone; on an injected failure re-add them so
   // the heap (which still holds the row) and the indexes agree.
   Status fault = SOPR_FAILPOINT("table.erase.mid");
   if (!fault.ok()) {
     for (ColumnIndex& index : indexes_) {
-      index.Insert(it->second.at(index.column()), handle);
+      index.Insert(it->second.row.at(index.column()), handle);
     }
     return fault;
   }
-  if (mvcc_ != nullptr) {
-    // The deleted image stays readable for snapshots that predate the
-    // deleting commit.
-    RowVersion version;
-    auto begin_it = mvcc_->live_begin.find(handle);
-    version.begin_lsn =
-        begin_it == mvcc_->live_begin.end() ? 0 : begin_it->second;
-    version.end_lsn = kPendingLsn;
-    version.row = std::move(it->second);
-    mvcc_->chains[handle].push_back(std::move(version));
-    if (begin_it != mvcc_->live_begin.end()) {
-      mvcc_->live_begin.erase(begin_it);
-    }
-  }
+  // The deleted image stays readable for snapshots that predate the
+  // deleting commit, and is what a rollback restores.
+  chains_[handle].push_back(
+      RowVersion{it->second.begin, kPendingLsn, std::move(it->second.row)});
   rows_.erase(it);
   return Status::OK();
 }
 
 Status Table::Replace(TupleHandle handle, Row row) {
-  auto lock = MaybeLock(mvcc_ == nullptr ? nullptr : &mvcc_->mu);
+  std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = rows_.find(handle);
-  if (it == rows_.end()) {
-    return Status::Internal("no tuple with handle " + std::to_string(handle) +
-                            " in table " + schema_.name());
-  }
+  if (it == rows_.end()) return NoTuple(handle, schema_);
+  HeapEntry& entry = it->second;
   for (ColumnIndex& index : indexes_) {
-    index.Erase(it->second.at(index.column()), handle);
+    index.Erase(entry.row.at(index.column()), handle);
   }
   Status fault = SOPR_FAILPOINT("table.replace.mid");
   if (!fault.ok()) {
     for (ColumnIndex& index : indexes_) {
-      index.Insert(it->second.at(index.column()), handle);
+      index.Insert(entry.row.at(index.column()), handle);
     }
     return fault;
   }
-  if (mvcc_ != nullptr) {
-    RowVersion version;
-    auto begin_it = mvcc_->live_begin.find(handle);
-    version.begin_lsn =
-        begin_it == mvcc_->live_begin.end() ? 0 : begin_it->second;
-    version.end_lsn = kPendingLsn;
-    version.row = it->second;
-    mvcc_->chains[handle].push_back(std::move(version));
-    mvcc_->live_begin[handle] = kPendingLsn;
-  }
-  it->second = std::move(row);
+  chains_[handle].push_back(
+      RowVersion{entry.begin, kPendingLsn, std::move(entry.row)});
+  entry.row = std::move(row);
+  entry.begin = kPendingLsn;
   for (ColumnIndex& index : indexes_) {
-    index.Insert(it->second.at(index.column()), handle);
+    index.Insert(entry.row.at(index.column()), handle);
   }
   return Status::OK();
 }
 
+Result<RowVersion> Table::PopPendingVersion(TupleHandle handle,
+                                            const char* what) {
+  auto chain_it = chains_.find(handle);
+  if (chain_it == chains_.end() || chain_it->second.empty() ||
+      chain_it->second.back().end_lsn != kPendingLsn) {
+    return Status::Internal(std::string(what) +
+                            ": no pending version for handle " +
+                            std::to_string(handle) + " in table " +
+                            schema_.name());
+  }
+  RowVersion version = std::move(chain_it->second.back());
+  chain_it->second.pop_back();
+  if (chain_it->second.empty()) chains_.erase(chain_it);
+  return version;
+}
+
 Status Table::RollbackInsert(TupleHandle handle) {
-  if (mvcc_ == nullptr) return Erase(handle);
-  std::unique_lock<std::shared_mutex> lock(mvcc_->mu);
+  std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = rows_.find(handle);
   if (it == rows_.end()) {
     return Status::Internal("rollback-insert: no tuple with handle " +
@@ -136,97 +116,86 @@ Status Table::RollbackInsert(TupleHandle handle) {
                             schema_.name());
   }
   for (ColumnIndex& index : indexes_) {
-    index.Erase(it->second.at(index.column()), handle);
+    index.Erase(it->second.row.at(index.column()), handle);
   }
+  // Structural undo: the entry goes with its pending begin, rather than
+  // the rollback being recorded as a deletion.
   rows_.erase(it);
-  // Structural undo: the insert created the live_begin sentinel, so the
-  // undo removes it rather than recording the rollback as a deletion.
-  mvcc_->live_begin.erase(handle);
   return Status::OK();
 }
 
-Status Table::RollbackDelete(TupleHandle handle, Row old_row) {
-  if (mvcc_ == nullptr) return Insert(handle, std::move(old_row));
-  std::unique_lock<std::shared_mutex> lock(mvcc_->mu);
-  auto [it, inserted] = rows_.emplace(handle, std::move(old_row));
-  if (!inserted) {
+Status Table::RollbackDelete(TupleHandle handle) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (rows_.count(handle) != 0) {
     return Status::Internal("rollback-delete: handle " +
                             std::to_string(handle) +
                             " already present in table " + schema_.name());
   }
+  SOPR_ASSIGN_OR_RETURN(RowVersion version,
+                        PopPendingVersion(handle, "rollback-delete"));
+  auto it = rows_
+                .emplace(handle,
+                         HeapEntry{std::move(version.row), version.begin_lsn})
+                .first;
   for (ColumnIndex& index : indexes_) {
-    index.Insert(it->second.at(index.column()), handle);
-  }
-  auto chain_it = mvcc_->chains.find(handle);
-  if (chain_it == mvcc_->chains.end() || chain_it->second.empty() ||
-      chain_it->second.back().end_lsn != kPendingLsn) {
-    return Status::Internal("rollback-delete: no pending version for handle " +
-                            std::to_string(handle) + " in table " +
-                            schema_.name());
-  }
-  const uint64_t begin = chain_it->second.back().begin_lsn;
-  chain_it->second.pop_back();
-  if (chain_it->second.empty()) mvcc_->chains.erase(chain_it);
-  if (begin == 0) {
-    mvcc_->live_begin.erase(handle);
-  } else {
-    mvcc_->live_begin[handle] = begin;
+    index.Insert(it->second.row.at(index.column()), handle);
   }
   return Status::OK();
 }
 
-Status Table::RollbackUpdate(TupleHandle handle, Row old_row) {
-  if (mvcc_ == nullptr) return Replace(handle, std::move(old_row));
-  std::unique_lock<std::shared_mutex> lock(mvcc_->mu);
+Status Table::RollbackUpdate(TupleHandle handle) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = rows_.find(handle);
   if (it == rows_.end()) {
     return Status::Internal("rollback-update: no tuple with handle " +
                             std::to_string(handle) + " in table " +
                             schema_.name());
   }
+  SOPR_ASSIGN_OR_RETURN(RowVersion version,
+                        PopPendingVersion(handle, "rollback-update"));
+  HeapEntry& entry = it->second;
   for (ColumnIndex& index : indexes_) {
-    index.Erase(it->second.at(index.column()), handle);
+    index.Erase(entry.row.at(index.column()), handle);
   }
-  it->second = std::move(old_row);
+  entry.row = std::move(version.row);
+  entry.begin = version.begin_lsn;
   for (ColumnIndex& index : indexes_) {
-    index.Insert(it->second.at(index.column()), handle);
-  }
-  auto chain_it = mvcc_->chains.find(handle);
-  if (chain_it == mvcc_->chains.end() || chain_it->second.empty() ||
-      chain_it->second.back().end_lsn != kPendingLsn) {
-    return Status::Internal("rollback-update: no pending version for handle " +
-                            std::to_string(handle) + " in table " +
-                            schema_.name());
-  }
-  const uint64_t begin = chain_it->second.back().begin_lsn;
-  chain_it->second.pop_back();
-  if (chain_it->second.empty()) mvcc_->chains.erase(chain_it);
-  if (begin == 0) {
-    mvcc_->live_begin.erase(handle);
-  } else {
-    mvcc_->live_begin[handle] = begin;
+    index.Insert(entry.row.at(index.column()), handle);
   }
   return Status::OK();
 }
 
-void Table::StampVersions(TupleHandle handle, uint64_t commit_lsn) {
-  if (mvcc_ == nullptr) return;
-  std::unique_lock<std::shared_mutex> lock(mvcc_->mu);
-  auto begin_it = mvcc_->live_begin.find(handle);
-  if (begin_it != mvcc_->live_begin.end() &&
-      begin_it->second == kPendingLsn) {
-    begin_it->second = commit_lsn;
-  }
-  auto chain_it = mvcc_->chains.find(handle);
-  if (chain_it == mvcc_->chains.end()) return;
-  // Pending entries are a suffix of the chain: everything older was
-  // stamped by the commit that superseded it.
-  for (auto v = chain_it->second.rbegin();
-       v != chain_it->second.rend() && v->end_lsn == kPendingLsn; ++v) {
-    v->end_lsn = commit_lsn;
-    // An insert superseded within its own transaction yields the empty
-    // interval [C, C): correctly visible to nobody.
-    if (v->begin_lsn == kPendingLsn) v->begin_lsn = commit_lsn;
+void Table::Commit(const std::vector<TupleHandle>& handles,
+                   uint64_t commit_lsn, const std::vector<uint64_t>& pins,
+                   uint64_t floor) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto keep = [&](const RowVersion& v) {
+    // A pending end compares greater than any floor.
+    if (v.end_lsn > floor) return true;
+    // Some live pin inside [begin, end)?
+    auto pin = std::lower_bound(pins.begin(), pins.end(), v.begin_lsn);
+    return pin != pins.end() && *pin < v.end_lsn;
+  };
+  for (TupleHandle handle : handles) {
+    auto live = rows_.find(handle);
+    if (live != rows_.end() && live->second.begin == kPendingLsn) {
+      live->second.begin = commit_lsn;
+    }
+    auto chain_it = chains_.find(handle);
+    if (chain_it == chains_.end()) continue;
+    std::vector<RowVersion>& chain = chain_it->second;
+    // Pending entries are a suffix of the chain: everything older was
+    // stamped by the commit that superseded it.
+    for (auto v = chain.rbegin();
+         v != chain.rend() && v->end_lsn == kPendingLsn; ++v) {
+      v->end_lsn = commit_lsn;
+      // An insert superseded within its own transaction yields the empty
+      // interval [C, C): correctly visible to nobody.
+      if (v->begin_lsn == kPendingLsn) v->begin_lsn = commit_lsn;
+    }
+    chain.erase(std::stable_partition(chain.begin(), chain.end(), keep),
+                chain.end());
+    if (chain.empty()) chains_.erase(chain_it);
   }
 }
 
@@ -238,14 +207,9 @@ const Row* Table::VisibleChainRow(const std::vector<RowVersion>& chain,
   return nullptr;
 }
 
-bool Table::LiveVisibleLocked(TupleHandle handle, uint64_t lsn) const {
-  auto it = mvcc_->live_begin.find(handle);
-  return it == mvcc_->live_begin.end() || it->second <= lsn;
-}
-
 void Table::Scan(uint64_t at, std::vector<Row>* rows,
                  std::vector<TupleHandle>* handles) const {
-  auto latch = ReadLatch();
+  std::shared_lock<std::shared_mutex> latch(mu_);
   ScanLatched(at, rows, handles);
 }
 
@@ -255,10 +219,10 @@ void Table::ScanLatched(uint64_t at, std::vector<Row>* rows,
     handles->push_back(handle);
     rows->push_back(row);
   };
-  if (at == kHeadLsn || mvcc_ == nullptr) {
+  if (at == kHeadLsn) {
     rows->reserve(rows->size() + rows_.size());
     handles->reserve(handles->size() + rows_.size());
-    for (const auto& [handle, row] : rows_) emit(handle, row);
+    for (const auto& [handle, entry] : rows_) emit(handle, entry.row);
     return;
   }
   // The snapshot output is not reserved: its size is known only once
@@ -272,11 +236,11 @@ void Table::ScanLatched(uint64_t at, std::vector<Row>* rows,
   // intervals of a handle's versions (chain entries plus the live row)
   // are disjoint, so at most one of the two merge arms emits it.
   auto live = rows_.begin();
-  auto chain = mvcc_->chains.begin();
-  while (live != rows_.end() || chain != mvcc_->chains.end()) {
-    if (chain == mvcc_->chains.end() ||
+  auto chain = chains_.begin();
+  while (live != rows_.end() || chain != chains_.end()) {
+    if (chain == chains_.end() ||
         (live != rows_.end() && live->first < chain->first)) {
-      if (LiveVisibleLocked(live->first, at)) emit(live->first, live->second);
+      if (live->second.begin <= at) emit(live->first, live->second.row);
       ++live;
     } else if (live == rows_.end() || chain->first < live->first) {
       if (const Row* row = VisibleChainRow(chain->second, at)) {
@@ -284,8 +248,8 @@ void Table::ScanLatched(uint64_t at, std::vector<Row>* rows,
       }
       ++chain;
     } else {
-      if (LiveVisibleLocked(live->first, at)) {
-        emit(live->first, live->second);
+      if (live->second.begin <= at) {
+        emit(live->first, live->second.row);
       } else if (const Row* row = VisibleChainRow(chain->second, at)) {
         emit(chain->first, *row);
       }
@@ -299,23 +263,23 @@ Status Table::ProbeEq(uint64_t at, size_t column, const Value& value,
                       const std::function<Status(TupleHandle)>& lock,
                       std::vector<Row>* rows,
                       std::vector<TupleHandle>* handles) const {
-  auto latch = ReadLatch();
+  std::shared_lock<std::shared_mutex> latch(mu_);
   const ColumnIndex* index = GetIndex(column);
   if (index == nullptr) {
     ScanLatched(at, rows, handles);
     return Status::OK();
   }
   const std::set<TupleHandle>* bucket = index->Lookup(value);
-  if (at == kHeadLsn || mvcc_ == nullptr) {
+  if (at == kHeadLsn) {
     std::vector<TupleHandle> candidates;
     if (bucket != nullptr) candidates.assign(bucket->begin(), bucket->end());
     if (lock) {
       // A lock wait must not hold the latch the lock holder's writes
       // need; each row is read only once its lock is granted, so a
       // candidate deleted meanwhile is gone from the heap and skipped.
-      if (mvcc_ != nullptr) latch.unlock();
+      latch.unlock();
       for (TupleHandle handle : candidates) SOPR_RETURN_NOT_OK(lock(handle));
-      if (mvcc_ != nullptr) latch.lock();
+      latch.lock();
     }
     rows->reserve(rows->size() + candidates.size());
     handles->reserve(handles->size() + candidates.size());
@@ -323,7 +287,7 @@ Status Table::ProbeEq(uint64_t at, size_t column, const Value& value,
       auto it = rows_.find(handle);
       if (it == rows_.end()) continue;
       handles->push_back(handle);
-      rows->push_back(it->second);
+      rows->push_back(it->second.row);
     }
     return Status::OK();
   }
@@ -335,13 +299,14 @@ Status Table::ProbeEq(uint64_t at, size_t column, const Value& value,
   std::vector<std::pair<TupleHandle, const Row*>> matches;
   if (bucket != nullptr) {
     for (TupleHandle handle : *bucket) {
-      if (!LiveVisibleLocked(handle, at)) continue;
       auto it = rows_.find(handle);
-      if (it != rows_.end()) matches.emplace_back(handle, &it->second);
+      if (it != rows_.end() && it->second.begin <= at) {
+        matches.emplace_back(handle, &it->second.row);
+      }
     }
   }
   const Value key = ColumnIndex::NormalizeKey(value);
-  for (const auto& [handle, chain] : mvcc_->chains) {
+  for (const auto& [handle, chain] : chains_) {
     const Row* row = VisibleChainRow(chain, at);
     if (row == nullptr) continue;
     const Value& stored = row->at(column);
@@ -363,10 +328,9 @@ Status Table::ProbeEq(uint64_t at, size_t column, const Value& value,
 }
 
 size_t Table::PruneVersions(uint64_t floor) {
-  if (mvcc_ == nullptr) return 0;
-  std::unique_lock<std::shared_mutex> lock(mvcc_->mu);
+  std::unique_lock<std::shared_mutex> lock(mu_);
   size_t pruned = 0;
-  for (auto it = mvcc_->chains.begin(); it != mvcc_->chains.end();) {
+  for (auto it = chains_.begin(); it != chains_.end();) {
     std::vector<RowVersion>& chain = it->second;
     auto dead_end = std::find_if(
         chain.begin(), chain.end(), [floor](const RowVersion& v) {
@@ -376,61 +340,17 @@ size_t Table::PruneVersions(uint64_t floor) {
         });
     pruned += static_cast<size_t>(dead_end - chain.begin());
     chain.erase(chain.begin(), dead_end);
-    it = chain.empty() ? mvcc_->chains.erase(it) : std::next(it);
-  }
-  // A live_begin at or below the floor is indistinguishable from the
-  // absent-means-0 default for every surviving snapshot.
-  for (auto it = mvcc_->live_begin.begin(); it != mvcc_->live_begin.end();) {
-    it = (it->second != kPendingLsn && it->second <= floor)
-             ? mvcc_->live_begin.erase(it)
-             : std::next(it);
-  }
-  return pruned;
-}
-
-size_t Table::PruneChainPinned(TupleHandle handle,
-                               const std::vector<uint64_t>& pins,
-                               uint64_t floor) {
-  if (mvcc_ == nullptr) return 0;
-  std::unique_lock<std::shared_mutex> lock(mvcc_->mu);
-  size_t pruned = 0;
-  auto chain_it = mvcc_->chains.find(handle);
-  if (chain_it != mvcc_->chains.end()) {
-    std::vector<RowVersion>& chain = chain_it->second;
-    auto keep = [&](const RowVersion& v) {
-      // kPendingLsn end compares greater than any floor.
-      if (v.end_lsn > floor) return true;
-      // Some live pin inside [begin, end)?
-      auto pin = std::lower_bound(pins.begin(), pins.end(), v.begin_lsn);
-      return pin != pins.end() && *pin < v.end_lsn;
-    };
-    auto dead = std::stable_partition(chain.begin(), chain.end(), keep);
-    pruned = static_cast<size_t>(chain.end() - dead);
-    chain.erase(dead, chain.end());
-    if (chain.empty()) mvcc_->chains.erase(chain_it);
-  }
-  // The live_begin entry can retire once every pin — present (pins) or
-  // future (LSN >= floor) — sees the live row anyway, making the entry
-  // indistinguishable from the absent-means-0 default.
-  auto begin_it = mvcc_->live_begin.find(handle);
-  if (begin_it != mvcc_->live_begin.end() &&
-      begin_it->second != kPendingLsn && begin_it->second <= floor &&
-      (pins.empty() || pins.front() >= begin_it->second)) {
-    mvcc_->live_begin.erase(begin_it);
+    it = chain.empty() ? chains_.erase(it) : std::next(it);
   }
   return pruned;
 }
 
 bool Table::VerifyNoPending(TupleHandle handle) const {
-  if (mvcc_ == nullptr) return true;
-  std::shared_lock<std::shared_mutex> lock(mvcc_->mu);
-  auto begin_it = mvcc_->live_begin.find(handle);
-  if (begin_it != mvcc_->live_begin.end() &&
-      begin_it->second == kPendingLsn) {
-    return false;
-  }
-  auto chain_it = mvcc_->chains.find(handle);
-  if (chain_it == mvcc_->chains.end()) return true;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = rows_.find(handle);
+  if (it != rows_.end() && it->second.begin == kPendingLsn) return false;
+  auto chain_it = chains_.find(handle);
+  if (chain_it == chains_.end()) return true;
   for (const RowVersion& v : chain_it->second) {
     if (v.begin_lsn == kPendingLsn || v.end_lsn == kPendingLsn) return false;
   }
@@ -438,10 +358,9 @@ bool Table::VerifyNoPending(TupleHandle handle) const {
 }
 
 size_t Table::version_count() const {
-  if (mvcc_ == nullptr) return 0;
-  std::shared_lock<std::shared_mutex> lock(mvcc_->mu);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [handle, chain] : mvcc_->chains) n += chain.size();
+  for (const auto& [handle, chain] : chains_) n += chain.size();
   return n;
 }
 
@@ -450,12 +369,12 @@ Status Table::CreateIndex(size_t column) {
     return Status::InvalidArgument("no column #" + std::to_string(column) +
                                    " in table " + schema_.name());
   }
-  auto lock = MaybeLock(mvcc_ == nullptr ? nullptr : &mvcc_->mu);
+  std::unique_lock<std::shared_mutex> lock(mu_);
   if (GetIndex(column) != nullptr) return Status::OK();  // idempotent
   indexes_.emplace_back(column);
   ColumnIndex& index = indexes_.back();
-  for (const auto& [handle, row] : rows_) {
-    index.Insert(row.at(column), handle);
+  for (const auto& [handle, entry] : rows_) {
+    index.Insert(entry.row.at(column), handle);
   }
   return Status::OK();
 }
@@ -468,40 +387,28 @@ const ColumnIndex* Table::GetIndex(size_t column) const {
 }
 
 Result<Row> Table::GetCopy(TupleHandle handle) const {
-  auto lock = ReadLatch();
+  std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = rows_.find(handle);
-  if (it == rows_.end()) {
-    return Status::ExecutionError("no tuple with handle " +
-                                  std::to_string(handle) + " in table " +
-                                  schema_.name());
-  }
-  return it->second;
+  if (it == rows_.end()) return NoTuple(handle, schema_);
+  return it->second.row;
 }
 
 Status Table::GetCopyBatch(const std::vector<TupleHandle>& handles,
                            std::vector<Row>* out) const {
-  auto lock = ReadLatch();
+  std::shared_lock<std::shared_mutex> lock(mu_);
   out->reserve(out->size() + handles.size());
   for (TupleHandle handle : handles) {
     auto it = rows_.find(handle);
-    if (it == rows_.end()) {
-      return Status::ExecutionError("no tuple with handle " +
-                                    std::to_string(handle) + " in table " +
-                                    schema_.name());
-    }
-    out->push_back(it->second);
+    if (it == rows_.end()) return NoTuple(handle, schema_);
+    out->push_back(it->second.row);
   }
   return Status::OK();
 }
 
 Result<const Row*> Table::Get(TupleHandle handle) const {
   auto it = rows_.find(handle);
-  if (it == rows_.end()) {
-    return Status::ExecutionError("no tuple with handle " +
-                                  std::to_string(handle) + " in table " +
-                                  schema_.name());
-  }
-  return &it->second;
+  if (it == rows_.end()) return NoTuple(handle, schema_);
+  return &it->second.row;
 }
 
 }  // namespace sopr

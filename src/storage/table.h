@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -24,43 +23,48 @@ namespace sopr {
 /// superseded version ends above it), but head reads never walk chains.
 inline constexpr uint64_t kHeadLsn = kPendingLsn;
 
+/// A heap entry: the live row and the commit LSN from which it is
+/// visible (kPendingLsn while the writing transaction is in flight).
+struct HeapEntry {
+  Row row;
+  uint64_t begin = kPendingLsn;
+};
+
 /// Heap storage for one table: handle → row. Duplicate rows are allowed
 /// (they have distinct handles, per the paper's model). Iteration order is
 /// ascending handle, i.e. insertion order, which keeps traces deterministic.
 ///
-/// MVCC (docs/CONCURRENCY.md): after EnableMvcc(), every mutation also
-/// maintains per-tuple version state under a per-table latch —
-///   - live_begin: the commit LSN from which the current heap row is
-///     visible (absent = 0, i.e. visible to every snapshot; kPendingLsn
-///     while the writing transaction is in flight);
-///   - per-handle chains of superseded RowVersions, each ending at the
-///     LSN of the commit that superseded it.
-/// Scan / ProbeEq read either the write-side head or the state as of a
-/// snapshot LSN under the shared side of the latch, concurrent with
-/// writers (who take the exclusive side only for the short heap +
-/// version critical section). The unlatched accessors (rows(), Get) read
-/// the write-side head and rely on the caller's locking.
+/// Storage is versioned (docs/CONCURRENCY.md "MVCC snapshot reads"):
+///   - each heap entry carries its row's begin LSN;
+///   - per-handle chains hold superseded RowVersions, each ending at the
+///     LSN of the commit that superseded it (kPendingLsn until then).
+/// Every mutation takes the exclusive side of a per-table latch for the
+/// short heap + version critical section; Scan / ProbeEq read either the
+/// write-side head or the state as of a snapshot LSN under the shared
+/// side, concurrent with writers. The unlatched accessors (rows(), Get)
+/// read the write-side head and rely on the caller's locking.
 class Table {
  public:
   explicit Table(TableSchema schema) : schema_(std::move(schema)) {}
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
-  Table(Table&&) = default;
-  Table& operator=(Table&&) = default;
 
   const TableSchema& schema() const { return schema_; }
   size_t size() const { return rows_.size(); }
 
   /// Adds a row under a caller-supplied handle (the Database allocates
   /// handles so they are unique across tables). Row must already be
-  /// schema-checked by the caller.
-  Status Insert(TupleHandle handle, Row row);
+  /// schema-checked by the caller. The row begins at `begin`; by default
+  /// it is pending: invisible to every snapshot until Commit stamps it.
+  Status Insert(TupleHandle handle, Row row, uint64_t begin = kPendingLsn);
 
-  /// Removes the row; fails if the handle is absent.
+  /// Removes the row, keeping its image as a pending version; fails
+  /// (ExecutionError) if the handle is absent.
   Status Erase(TupleHandle handle);
 
-  /// Replaces the row in place; fails if the handle is absent.
+  /// Replaces the row in place, keeping the old image as a pending
+  /// version; fails (ExecutionError) if the handle is absent.
   Status Replace(TupleHandle handle, Row row);
 
   bool Contains(TupleHandle handle) const { return rows_.count(handle) > 0; }
@@ -68,16 +72,14 @@ class Table {
   /// Fails with ExecutionError if the handle is absent.
   Result<const Row*> Get(TupleHandle handle) const;
 
-  /// Ordered (handle, row) view for scans.
-  const std::map<TupleHandle, Row>& rows() const { return rows_; }
+  /// Ordered (handle, entry) view for scans.
+  const std::map<TupleHandle, HeapEntry>& rows() const { return rows_; }
 
   // --- Latched head accessors (concurrent writers) ------------------------
   // rows()/Get() read the write-side head unlatched and rely on the
   // caller's locking; with record-level locking two writers mutate the
-  // same table concurrently, so readers of the head must copy out under
-  // the shared side of the MVCC latch (the same latch every mutation
-  // takes exclusive). All three degrade to plain unlatched reads with
-  // MVCC off.
+  // same table concurrently, so readers of the head copy out under the
+  // shared side of the latch every mutation takes exclusive.
 
   /// Copy-out Get: the row under `handle`, ExecutionError if absent.
   Result<Row> GetCopy(TupleHandle handle) const;
@@ -99,32 +101,32 @@ class Table {
 
   size_t num_indexes() const { return indexes_.size(); }
 
-  // --- MVCC ---------------------------------------------------------------
-
-  /// Turns on version tracking (idempotent). Existing rows get no
-  /// explicit version entry: absent means begin_lsn 0, visible to every
-  /// snapshot — which is exactly right for recovered or pre-existing
-  /// state.
-  void EnableMvcc();
-  bool mvcc_enabled() const { return mvcc_ != nullptr; }
+  // --- Versions -----------------------------------------------------------
 
   /// Structural undoes of the three mutations, used by Database rollback
   /// so version state reverts in lockstep with the heap (a plain inverse
-  /// mutation would instead record the rollback as new history). With
-  /// MVCC off they degrade to Erase / Insert / Replace.
+  /// mutation would instead record the rollback as new history). The
+  /// before-image of a delete or update comes back from the pending
+  /// version the mutation pushed.
   Status RollbackInsert(TupleHandle handle);
-  Status RollbackDelete(TupleHandle handle, Row old_row);
-  Status RollbackUpdate(TupleHandle handle, Row old_row);
+  Status RollbackDelete(TupleHandle handle);
+  Status RollbackUpdate(TupleHandle handle);
 
-  /// Commit point for `handle`: rewrites every kPendingLsn sentinel this
-  /// transaction left on its version state to `commit_lsn`. Idempotent
-  /// per (handle, commit). No-op with MVCC off.
-  void StampVersions(TupleHandle handle, uint64_t commit_lsn);
+  /// Commit point for the handles one transaction touched (a repeated
+  /// handle is a no-op), under one exclusive latch: rewrites every
+  /// kPendingLsn sentinel the transaction left on their version state
+  /// to `commit_lsn`, then drops every superseded version of those
+  /// handles that no pinned snapshot (`pins`, ascending) and no future
+  /// pin (which gets an LSN >= `floor`) can see: keep [begin, end) iff
+  /// some pin falls inside it or end > floor. Empty pins with floor 0
+  /// keep every version.
+  void Commit(const std::vector<TupleHandle>& handles, uint64_t commit_lsn,
+              const std::vector<uint64_t>& pins, uint64_t floor);
 
   /// Appends every row visible at read point `at` (kHeadLsn or a
   /// snapshot LSN) to `rows`, its handle to the parallel `handles`, in
   /// ascending handle order. A head read copies the heap alone; only a
-  /// snapshot read consults version state.
+  /// snapshot read consults the version chains.
   void Scan(uint64_t at, std::vector<Row>* rows,
             std::vector<TupleHandle>* handles) const;
 
@@ -141,21 +143,9 @@ class Table {
                  std::vector<Row>* rows,
                  std::vector<TupleHandle>* handles) const;
 
-  /// Discards version state no snapshot at or after `floor` can see:
-  /// superseded versions with end_lsn <= floor and live_begin entries
-  /// with begin_lsn <= floor (the default 0 takes over). Returns the
-  /// number of row versions dropped.
+  /// Discards superseded versions no snapshot at or after `floor` can
+  /// see (end_lsn <= floor). Returns the number of row versions dropped.
   size_t PruneVersions(uint64_t floor);
-
-  /// Incremental per-handle prune (commit-time, docs/CONCURRENCY.md):
-  /// drops every superseded version of `handle` that no currently pinned
-  /// snapshot (`pins`, ascending) and no future pin (which gets an LSN
-  /// >= `floor`) can see — keep [begin, end) iff some pin falls inside
-  /// it or end > floor; pending versions always survive. Also retires
-  /// the live_begin entry when every present and future pin sees the
-  /// live row anyway. Returns versions dropped.
-  size_t PruneChainPinned(TupleHandle handle,
-                          const std::vector<uint64_t>& pins, uint64_t floor);
 
   /// True iff `handle` carries no kPendingLsn sentinel — i.e. no
   /// in-flight transaction state. After an abort's structural rollback
@@ -163,39 +153,29 @@ class Table {
   /// aborter held X locks, so nobody else could have left one).
   bool VerifyNoPending(TupleHandle handle) const;
 
-  /// Superseded row versions currently retained (0 with MVCC off).
+  /// Superseded row versions currently retained.
   size_t version_count() const;
 
  private:
-  struct MvccState {
-    mutable std::shared_mutex mu;
-    /// Commit LSN from which the live heap row is visible; absent = 0.
-    std::map<TupleHandle, uint64_t> live_begin;
-    /// Superseded versions per handle, oldest first. Interval [begin,
-    /// end) of consecutive entries (plus the live row) are disjoint, so
-    /// at most one version of a handle is visible at any snapshot.
-    std::map<TupleHandle, std::vector<RowVersion>> chains;
-  };
-
   /// The version of `handle` visible at `lsn` among superseded entries,
-  /// or nullptr. Caller holds mvcc_->mu.
+  /// or nullptr. Caller holds mu_.
   static const Row* VisibleChainRow(const std::vector<RowVersion>& chain,
                                     uint64_t lsn);
-  /// True when the live heap row of `handle` is visible at `lsn`.
-  /// Caller holds mvcc_->mu.
-  bool LiveVisibleLocked(TupleHandle handle, uint64_t lsn) const;
-  /// The shared side of the MVCC latch; disengaged with MVCC off.
-  std::shared_lock<std::shared_mutex> ReadLatch() const;
-  /// Scan with the latch already held (shared or not needed).
+  /// Pops the pending version a delete or update of `handle` pushed;
+  /// `what` names the undone mutation in the error. Caller holds mu_.
+  Result<RowVersion> PopPendingVersion(TupleHandle handle, const char* what);
+  /// Scan with the latch already held.
   void ScanLatched(uint64_t at, std::vector<Row>* rows,
                    std::vector<TupleHandle>* handles) const;
 
   TableSchema schema_;
-  std::map<TupleHandle, Row> rows_;
+  std::map<TupleHandle, HeapEntry> rows_;
   std::vector<ColumnIndex> indexes_;
-  /// Null until EnableMvcc(); behind a pointer because Table is movable
-  /// and a shared_mutex is not.
-  std::unique_ptr<MvccState> mvcc_;
+  mutable std::shared_mutex mu_;
+  /// Superseded versions per handle, oldest first. The intervals [begin,
+  /// end) of consecutive entries (plus the live row) are disjoint, so at
+  /// most one version of a handle is visible at any snapshot.
+  std::map<TupleHandle, std::vector<RowVersion>> chains_;
 };
 
 }  // namespace sopr

@@ -14,26 +14,10 @@ Status UndoLog::CheckAppend() {
   return Status::OK();
 }
 
-Status UndoLog::RecordInsert(std::string table, TupleHandle handle) {
+Status UndoLog::Record(UndoRecord::Kind kind, std::string table,
+                       TupleHandle handle) {
   SOPR_RETURN_NOT_OK(CheckAppend());
-  records_.push_back(
-      UndoRecord{UndoRecord::Kind::kInsert, std::move(table), handle, Row()});
-  return Status::OK();
-}
-
-Status UndoLog::RecordDelete(std::string table, TupleHandle handle,
-                             Row old_row) {
-  SOPR_RETURN_NOT_OK(CheckAppend());
-  records_.push_back(UndoRecord{UndoRecord::Kind::kDelete, std::move(table),
-                                handle, std::move(old_row)});
-  return Status::OK();
-}
-
-Status UndoLog::RecordUpdate(std::string table, TupleHandle handle,
-                             Row old_row) {
-  SOPR_RETURN_NOT_OK(CheckAppend());
-  records_.push_back(UndoRecord{UndoRecord::Kind::kUpdate, std::move(table),
-                                handle, std::move(old_row)});
+  RecordApplied(kind, std::move(table), handle);
   return Status::OK();
 }
 

@@ -6,18 +6,19 @@
 
 #include "common/status.h"
 #include "storage/tuple_handle.h"
-#include "types/row.h"
 
 namespace sopr {
 
-/// One reversible mutation. `old_row` is populated for deletes (the full
-/// deleted tuple) and updates (the pre-image).
+/// One reversible mutation: which row of which table. The before-image
+/// of a delete or update is not copied here — the mutation kept it as
+/// the row's pending version (Table::Erase / Replace), and the
+/// structural rollback restores it from there. At commit the same
+/// (table, handle) pairs say which rows to stamp.
 struct UndoRecord {
   enum class Kind { kInsert, kDelete, kUpdate };
   Kind kind;
   std::string table;  // lowercased table name
   TupleHandle handle = kInvalidHandle;
-  Row old_row;
 };
 
 /// Append-only log of mutations within the current transaction. The
@@ -32,9 +33,16 @@ class UndoLog {
   /// `record_budget` records (0 = unlimited), simulating log-space
   /// exhaustion; the caller must revert the mutation it failed to log.
   /// The `undo.append` failpoint can inject the same failure.
-  Status RecordInsert(std::string table, TupleHandle handle);
-  Status RecordDelete(std::string table, TupleHandle handle, Row old_row);
-  Status RecordUpdate(std::string table, TupleHandle handle, Row old_row);
+  Status Record(UndoRecord::Kind kind, std::string table,
+                TupleHandle handle);
+
+  /// Appends with neither the budget nor the failpoint check. Redo
+  /// application (recovery, a replication follower) logs mutations the
+  /// log already made durable, so nothing may refuse them.
+  void RecordApplied(UndoRecord::Kind kind, std::string table,
+                     TupleHandle handle) {
+    records_.push_back(UndoRecord{kind, std::move(table), handle});
+  }
 
   /// Caps the number of records the log accepts (0 = unlimited). Records
   /// already in the log are unaffected — rollback always works.

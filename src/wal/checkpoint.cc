@@ -76,9 +76,10 @@ Status WriteCheckpoint(Engine* engine, WalWriter* wal) {
   }
   for (const std::string& name : engine->db().catalog().TableNames()) {
     SOPR_ASSIGN_OR_RETURN(const Table* table, engine->db().GetTable(name));
-    for (const auto& [handle, row] : table->rows()) {
+    for (const auto& [handle, entry] : table->rows()) {
       AppendRecord(&image, WalRecord::Insert(wal->AllocateLsn(), 0,
-                                             ToLower(name), handle, row));
+                                             ToLower(name), handle,
+                                             entry.row));
     }
   }
   SOPR_ASSIGN_OR_RETURN(std::string rules_sql, DumpRulesSql(engine));
@@ -104,13 +105,11 @@ Status WriteCheckpoint(Engine* engine, WalWriter* wal) {
   // The snapshot is durable and installed; the log it covers can go.
   SOPR_RETURN_NOT_OK(wal->StartNewLog());
 
-  // MVCC garbage collection rides the checkpoint wall: drop row versions
-  // no pinned snapshot can still see. With no readers the floor is the
-  // commit head — all superseded versions go.
-  if (engine->db().mvcc_enabled()) {
-    engine->db().PruneVersions(engine->db().snapshots().OldestPinnedOr(
-        engine->db().last_commit_lsn()));
-  }
+  // Version garbage collection rides the checkpoint wall: drop row
+  // versions no pinned snapshot can still see. With no readers the floor
+  // is the commit head — all superseded versions go.
+  engine->db().PruneVersions(engine->db().snapshots().OldestPinnedOr(
+      engine->db().last_commit_lsn()));
   return Status::OK();
 }
 

@@ -30,13 +30,16 @@ Status ReplayDdl(Engine* engine, const std::string& sql,
   return Status::OK();
 }
 
+/// `begin` is the LSN an insert is stamped at; a pending one is stamped
+/// by its group's CommitAll.
 Status ReplayMutation(Engine* engine, const WalRecord& rec,
-                      RecoveryStats* stats) {
+                      RecoveryStats* stats, uint64_t begin = kPendingLsn) {
   SOPR_FAILPOINT_RETURN("wal.recover.replay");
   Status applied = Status::OK();
   switch (rec.type) {
     case RecordType::kInsert:
-      applied = engine->db().ApplyRedoInsert(rec.table, rec.handle, rec.after);
+      applied = engine->db().ApplyRedoInsert(rec.table, rec.handle,
+                                             rec.after, begin);
       break;
     case RecordType::kDelete:
       applied = engine->db().ApplyRedoDelete(rec.table, rec.handle,
@@ -87,7 +90,10 @@ Status LoadSnapshot(const std::string& dir, Engine* engine,
         SOPR_RETURN_NOT_OK(ReplayDdl(engine, rec.sql, stats));
         break;
       case RecordType::kInsert:
-        SOPR_RETURN_NOT_OK(ReplayMutation(engine, rec, stats));
+        // The snapshot's rows are the state as of covers_lsn: they are
+        // inserted stamped there, with no undo record.
+        SOPR_RETURN_NOT_OK(
+            ReplayMutation(engine, rec, stats, header.covers_lsn));
         break;
       default:
         return Status::DataLoss("snapshot " + path + ": unexpected " +
@@ -95,6 +101,8 @@ Status LoadSnapshot(const std::string& dir, Engine* engine,
     }
   }
   engine->db().BumpNextHandle(header.next_handle);
+  // The undo log is empty: this only advances the commit head.
+  engine->db().CommitAll(header.covers_lsn);
   *covers_lsn = header.covers_lsn;
   *last_lsn = scan.records.back().lsn;
   stats->snapshot_loaded = true;
@@ -177,12 +185,10 @@ Result<bool> GroupReplayer::Feed(const WalRecord& rec, RecoveryStats* stats) {
           SOPR_RETURN_NOT_OK(ReplayMutation(engine_, r, stats));
         }
         engine_->db().BumpNextHandle(rec.next_handle);
-        if (opts_.stamp_mvcc && engine_->db().mvcc_enabled()) {
-          // Stamp the group's MVCC versions at its commit LSN so pinned
-          // snapshot readers see exactly the committed prefix (the redo
-          // path journals what it touched; see Database::ApplyRedo*).
-          engine_->db().CommitAll(rec.lsn);
-        }
+        // Stamp the group's versions at its commit LSN so pinned snapshot
+        // readers see exactly the committed prefix (the redo path
+        // undo-logs what it touched; see Database::ApplyRedo*).
+        engine_->db().CommitAll(rec.lsn);
         return Status::OK();
       }));
       ++stats->committed_txns;

@@ -95,7 +95,8 @@ Result<RecoveryStats> RecoverDatabase(const std::string& dir, Engine* engine,
 /// and the replication Follower share. Feed scanned WAL records in log
 /// order (recovery feeds one whole scan; a tailer feeds records as they
 /// become durable, across many polls); each transaction group is applied
-/// the moment its COMMIT record arrives, DDL records apply immediately.
+/// the moment its COMMIT record arrives and its versions are stamped at
+/// that record's LSN (Database::CommitAll), DDL records apply immediately.
 /// Rules are never re-fired: the log already contains every
 /// rule-generated mutation.
 ///
@@ -114,12 +115,6 @@ class GroupReplayer {
     uint64_t through_lsn = 0;
     /// Groups/DDL with LSN <= this were applied by a previous replay.
     uint64_t applied_lsn = 0;
-    /// When true, each applied group's MVCC versions are stamped at the
-    /// COMMIT record's LSN (Database::CommitAll), so snapshot readers at
-    /// the published LSN see exactly the committed prefix. Recovery
-    /// leaves this off (MVCC is enabled after recovery); the Follower
-    /// needs it on because it applies groups while readers are live.
-    bool stamp_mvcc = false;
     /// Wraps the application of one committed group (ddl=false) or one
     /// DDL record (ddl=true); default invokes apply() directly. The
     /// Follower injects its scheduler's writer/schema locks here.

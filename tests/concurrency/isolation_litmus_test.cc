@@ -314,10 +314,10 @@ TEST_F(IsolationLitmusTest, FailedBlockStillPublishesCommittedHead) {
 
 // --- Anomaly 6: snapshot vs. recovery -------------------------------------
 // Expected table: a restart recovers the exact committed state with NO
-// version chains (recovered rows are unversioned, visible to every
-// snapshot — including the post-restart snapshot at LSN 0), and a pin
-// taken before the first post-restart write keeps reading the recovered
-// state while the head moves on.
+// version chains (each recovered group is stamped at its COMMIT LSN and
+// prunes what it superseded), the first post-restart snapshot is the
+// last recovered commit, and a pin taken before the first post-restart
+// write keeps reading the recovered state while the head moves on.
 TEST_F(IsolationLitmusTest, SnapshotVsRecovery) {
   RuleEngineOptions options;
   options.wal_dir = MakeTempDir();
@@ -335,13 +335,14 @@ TEST_F(IsolationLitmusTest, SnapshotVsRecovery) {
   ASSERT_NE(manager, nullptr);
   EXPECT_EQ(manager->engine().db().Checksum(), committed_checksum);
   EXPECT_EQ(manager->engine().db().VersionCount(), 0u)
-      << "recovery must produce unversioned rows";
+      << "recovery must leave no superseded versions";
+  const uint64_t recovered_lsn = manager->engine().last_commit_lsn();
 
   ASSERT_OK_AND_ASSIGN(server::Session * session, manager->CreateSession());
   ASSERT_OK_AND_ASSIGN(server::Session::Snapshot recovered,
                        session->PinSnapshot());
-  EXPECT_EQ(recovered.lsn(), 0u)
-      << "the first post-restart snapshot is LSN 0: the recovered state";
+  EXPECT_EQ(recovered.lsn(), recovered_lsn)
+      << "the first post-restart snapshot is the last recovered commit";
   EXPECT_EQ(
       ScalarInt(session->QueryAt(recovered, "select v from t where id = 1")),
       2);

@@ -221,5 +221,43 @@ TEST_F(CompilerTest, ConstraintsComposeAcrossTables) {
   EXPECT_EQ(EmpNames(&engine_).size(), 5u);
 }
 
+// A NULL parent key must not disable the checks: `x not in (1, NULL)` is
+// UNKNOWN for every x, so a parent-key list that keeps the NULL would let
+// every orphan through.
+class CompilerNullParentTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_OK(engine_.Execute("create table p (k int)"));
+    ASSERT_OK(engine_.Execute("create table c (k int)"));
+    ReferentialConstraint fk;
+    fk.name = "fk";
+    fk.child_table = "c";
+    fk.child_column = "k";
+    fk.parent_table = "p";
+    fk.parent_column = "k";
+    fk.on_parent_delete = ViolationAction::kRollback;
+    ASSERT_OK(compiler_.AddReferential(fk).status());
+    ASSERT_OK(engine_.Execute("insert into p values (1)"));
+    ASSERT_OK(engine_.Execute("insert into p values (null)"));
+  }
+  Engine engine_;
+  ConstraintCompiler compiler_{&engine_};
+};
+
+TEST_F(CompilerNullParentTest, OrphanChildInsertRollsBack) {
+  EXPECT_EQ(engine_.Execute("insert into c values (2)").code(),
+            StatusCode::kRolledBack);
+  EXPECT_EQ(QueryScalar(&engine_, "select count(*) from c"), Value::Int(0));
+  ASSERT_OK(engine_.Execute("insert into c values (1)"));
+}
+
+TEST_F(CompilerNullParentTest, OrphaningParentUpdateRollsBack) {
+  ASSERT_OK(engine_.Execute("insert into c values (1)"));
+  EXPECT_EQ(engine_.Execute("update p set k = 5 where k = 1").code(),
+            StatusCode::kRolledBack);
+  EXPECT_EQ(QueryScalar(&engine_, "select count(*) from p where k = 1"),
+            Value::Int(1));
+}
+
 }  // namespace
 }  // namespace sopr

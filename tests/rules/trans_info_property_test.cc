@@ -27,7 +27,9 @@ class TransInfoProperty : public ::testing::TestWithParam<uint32_t> {
     auto table = db_.GetTable("t");
     EXPECT_TRUE(table.ok());
     std::map<TupleHandle, Row> snap;
-    for (const auto& [h, row] : table.value()->rows()) snap.emplace(h, row);
+    for (const auto& [h, entry] : table.value()->rows()) {
+      snap.emplace(h, entry.row);
+    }
     return snap;
   }
 

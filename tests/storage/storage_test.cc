@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <memory>
+
+#include "engine/engine.h"
+#include "sql/parser.h"
 #include "storage/database.h"
 #include "test_util.h"
 
@@ -44,8 +50,8 @@ TEST(Table, IterationIsHandleOrdered) {
   ASSERT_OK(table.Insert(2, Row{Value::String("b"), Value::Double(2)}));
   ASSERT_OK(table.Insert(9, Row{Value::String("i"), Value::Double(9)}));
   std::vector<TupleHandle> handles;
-  for (const auto& [h, row] : table.rows()) {
-    (void)row;
+  for (const auto& [h, entry] : table.rows()) {
+    (void)entry;
     handles.push_back(h);
   }
   EXPECT_EQ(handles, (std::vector<TupleHandle>{2, 5, 9}));
@@ -198,10 +204,10 @@ TEST(UndoLog, NestedMarksPartialRollbackPreservesOuterRecords) {
 
 TEST(UndoLog, TruncateToDropsOnlyNewerRecords) {
   UndoLog log;
-  ASSERT_OK(log.RecordInsert("t", 1));
+  ASSERT_OK(log.Record(UndoRecord::Kind::kInsert, "t", 1));
   UndoLog::Mark m = log.mark();
-  ASSERT_OK(log.RecordInsert("t", 2));
-  ASSERT_OK(log.RecordDelete("t", 3, Row{Value::Int(1)}));
+  ASSERT_OK(log.Record(UndoRecord::Kind::kInsert, "t", 2));
+  ASSERT_OK(log.Record(UndoRecord::Kind::kDelete, "t", 3));
   EXPECT_EQ(log.size(), 3u);
   log.TruncateTo(m);
   EXPECT_EQ(log.size(), 1u);
@@ -214,12 +220,14 @@ TEST(UndoLog, TruncateToDropsOnlyNewerRecords) {
 TEST(UndoLog, RecordBudgetExhaustion) {
   UndoLog log;
   log.set_record_budget(2);
-  ASSERT_OK(log.RecordInsert("t", 1));
-  ASSERT_OK(log.RecordInsert("t", 2));
-  EXPECT_EQ(log.RecordInsert("t", 3).code(), StatusCode::kResourceExhausted);
+  constexpr auto kInsert = UndoRecord::Kind::kInsert;
+  ASSERT_OK(log.Record(kInsert, "t", 1));
+  ASSERT_OK(log.Record(kInsert, "t", 2));
+  EXPECT_EQ(log.Record(kInsert, "t", 3).code(),
+            StatusCode::kResourceExhausted);
   // Freeing space (rollback truncation) makes room again.
   log.TruncateTo(1);
-  ASSERT_OK(log.RecordInsert("t", 4));
+  ASSERT_OK(log.Record(kInsert, "t", 4));
 }
 
 // When the undo log cannot accept a record, the mutation must not stay
@@ -335,14 +343,15 @@ ReadOut ProbeAt(const Table& table, uint64_t at, size_t column,
 
 using Handles = std::vector<TupleHandle>;
 
-/// An MVCC database holding t(k double, tag string) with an equality
-/// index on k. Commits take explicit LSNs so tests can read between them.
+/// A database holding t(k double, tag string) with an equality index on
+/// k. Commits take explicit LSNs so tests can read between them; a read
+/// of an LSN that a later commit supersedes pins it before that commit,
+/// which otherwise prunes what no pin can see.
 class ReadPrimitives : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_OK(db_.CreateTable(TableSchema(
         "t", {{"k", ValueType::kDouble}, {"tag", ValueType::kString}})));
-    db_.EnableMvcc();
     ASSERT_OK_AND_ASSIGN(table_, db_.GetTable("t"));
     ASSERT_OK(table_->CreateIndex(0));
   }
@@ -357,8 +366,13 @@ class ReadPrimitives : public ::testing::Test {
     EXPECT_OK(db_.UpdateRow("t", h, Row{std::move(k), Value::String(tag)}));
   }
 
+  void Pin(std::initializer_list<uint64_t> lsns) {
+    for (uint64_t lsn : lsns) pins_.push_back(db_.PinSnapshot(lsn));
+  }
+
   Database db_;
   Table* table_ = nullptr;
+  std::vector<SnapshotRegistry::Pin> pins_;  // released before db_
 };
 
 TEST_F(ReadPrimitives, PendingInsertIsVisibleOnlyAtTheHead) {
@@ -397,6 +411,7 @@ TEST_F(ReadPrimitives, PendingDeleteIsGoneAtTheHeadOnly) {
   ASSERT_EQ(at_10.rows.size(), 1u);
   EXPECT_EQ(at_10.rows[0].at(1), Value::String("a"));
 
+  Pin({29});
   db_.CommitAll(30);
   EXPECT_EQ(ScanAt(*table_, 29).handles, (Handles{h1, h2}));
   EXPECT_EQ(ScanAt(*table_, 30).handles, (Handles{h2}));
@@ -406,8 +421,10 @@ TEST_F(ReadPrimitives, EachVersionIsVisibleInItsOwnInterval) {
   const TupleHandle h = Insert(Value::Double(1), "v1");
   db_.CommitAll(10);
   Update(h, Value::Double(2), "v2");
+  Pin({9, 10, 15, 19});
   db_.CommitAll(20);
   Update(h, Value::Double(3), "v3");
+  Pin({20, 25, 29});
   db_.CommitAll(30);
   Update(h, Value::Double(4), "pending");
 
@@ -451,6 +468,7 @@ TEST_F(ReadPrimitives, ProbeOfSupersededVersionsUsesIndexKeyEquality) {
   for (TupleHandle h : {h_int, h_double, h_negzero, h_null, h_two}) {
     Update(h, Value::Double(7), "moved");
   }
+  Pin({10});
   db_.CommitAll(20);
 
   EXPECT_EQ(ProbeAt(*table_, 10, 0, Value::Int(1)).handles,
@@ -474,6 +492,7 @@ TEST_F(ReadPrimitives, ProbeOnAnUnindexedColumnIsAScan) {
   const TupleHandle h2 = Insert(Value::Double(2), "b");
   db_.CommitAll(10);
   Update(h1, Value::Double(1), "a2");
+  Pin({5, 10});
   db_.CommitAll(20);
   ASSERT_OK(db_.DeleteRow("t", h2));
   Insert(Value::Double(3), "pending");
@@ -496,6 +515,7 @@ TEST_F(ReadPrimitives, MergedOutputIsInAscendingHandleOrder) {
   db_.CommitAll(10);
   Update(h2, Value::Double(5), "h2 moved");
   ASSERT_OK(db_.DeleteRow("t", h4));
+  Pin({10});
   db_.CommitAll(20);
 
   const Handles all{h1, h2, h3, h4};
@@ -540,6 +560,93 @@ TEST_F(ReadPrimitives, HeadProbeLocksEachCandidateBeforeReadingIt) {
       },
       &out.rows, &out.handles);
   EXPECT_EQ(s.code(), StatusCode::kDeadlock);
+}
+
+// --- Version state in the embedded engine -------------------------------
+// An Engine without a scheduler has no floor provider, so each commit
+// prunes at its own LSN: a superseded version outlives its commit only
+// while a pin can still see it.
+
+Value ScalarAt(const Engine& engine, const std::string& sql, uint64_t lsn) {
+  auto stmt = Parser::ParseStatement(sql);
+  EXPECT_TRUE(stmt.ok()) << stmt.status();
+  if (!stmt.ok()) return Value::Null();
+  auto result = engine.QueryAtSnapshot(
+      static_cast<const SelectStmt&>(*stmt.value()), lsn);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok() || result.value().rows.size() != 1) return Value::Null();
+  return result.value().rows[0].at(0);
+}
+
+void LoadCounters(Engine* engine, int rows) {
+  ASSERT_OK(engine->Execute("create table t (id int, v int)"));
+  std::string insert = "insert into t values (0, 0)";
+  for (int i = 1; i < rows; ++i) {
+    insert += "; insert into t values (" + std::to_string(i) + ", 0)";
+  }
+  ASSERT_OK(engine->Execute(insert));
+}
+
+TEST(EmbeddedVersions, UnpinnedCommitsRetainNoVersions) {
+  Engine engine;
+  LoadCounters(&engine, 16);
+  EXPECT_EQ(engine.db().VersionCount(), 0u);
+  for (int i = 0; i < 40; ++i) {
+    const std::string id = std::to_string(i % 16);
+    ASSERT_OK(engine.Execute("update t set v = v + 1 where id = " + id));
+    EXPECT_EQ(engine.db().VersionCount(), 0u) << "update " << i;
+    ASSERT_OK(engine.Execute("delete from t where id = " + id +
+                             "; insert into t values (" + id + ", 0)"));
+    EXPECT_EQ(engine.db().VersionCount(), 0u) << "delete " << i;
+  }
+  ASSERT_OK(engine.Execute("update t set v = v + 1"));
+  EXPECT_EQ(engine.db().VersionCount(), 0u);
+  EXPECT_EQ(QueryScalar(&engine, "select count(*) from t"), Value::Int(16));
+}
+
+TEST(EmbeddedVersions, PinnedReadKeepsItsVersionsUntilReleased) {
+  char tmpl[] = "/tmp/sopr_storage_test_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  RuleEngineOptions options;
+  options.wal_dir = tmpl;
+  options.wal_fsync = WalFsyncPolicy::kOff;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Engine> engine, Engine::Open(options));
+  LoadCounters(engine.get(), 8);
+  ASSERT_OK(engine->Execute("update t set v = id"));  // sum 28
+  const std::string sum = "select sum(v) from t";
+  const std::string count = "select count(*) from t";
+
+  // Updates under a pin: the pinned read keeps the pre-update rows, and
+  // the first commit after the release that touches them drops them.
+  const uint64_t before_update = engine->last_commit_lsn();
+  SnapshotRegistry::Pin pin = engine->db().PinSnapshot(before_update);
+  ASSERT_OK(engine->Execute("update t set v = v + 100"));
+  ASSERT_OK(engine->Execute("update t set v = v + 100"));
+  EXPECT_EQ(ScalarAt(*engine, sum, before_update), Value::Int(28));
+  EXPECT_EQ(QueryScalar(engine.get(), sum), Value::Int(28 + 8 * 200));
+  EXPECT_EQ(engine->db().VersionCount(), 8u)
+      << "one version per row: the one the pin sees";
+  pin.Reset();
+  ASSERT_OK(engine->Execute("update t set v = v - 200"));
+  EXPECT_EQ(engine->db().VersionCount(), 0u);
+
+  // A delete under a pin: nothing later writes the row, so the first
+  // checkpoint after the release drops its version.
+  const uint64_t before_delete = engine->last_commit_lsn();
+  pin = engine->db().PinSnapshot(before_delete);
+  ASSERT_OK(engine->Execute("delete from t where id < 3"));
+  EXPECT_EQ(ScalarAt(*engine, count, before_delete), Value::Int(8));
+  EXPECT_EQ(ScalarAt(*engine, sum, before_delete), Value::Int(28));
+  EXPECT_EQ(QueryScalar(engine.get(), count), Value::Int(5));
+  EXPECT_EQ(engine->db().VersionCount(), 3u);
+  ASSERT_OK(engine->Checkpoint());
+  EXPECT_EQ(ScalarAt(*engine, count, before_delete), Value::Int(8))
+      << "a checkpoint keeps what a live pin sees";
+  pin.Reset();
+  ASSERT_OK(engine->Checkpoint());
+  EXPECT_EQ(engine->db().VersionCount(), 0u);
+  engine.reset();
+  std::filesystem::remove_all(tmpl);
 }
 
 TEST(Database, DropTable) {

@@ -13,6 +13,7 @@
 
 #include "common/failpoint.h"
 #include "engine/engine.h"
+#include "server/session_manager.h"
 #include "test_util.h"
 #include "wal/wal_format.h"
 #include "wal/wal_writer.h"
@@ -527,6 +528,65 @@ TEST_F(RecoveryTest, ThroughLsnBehindTheCheckpointNamesItsCoversLsn) {
   EXPECT_NE(bounded.status().message().find("bootstrap from the checkpoint"),
             std::string::npos)
       << bounded.status();
+}
+
+// Recovery stamps the checkpoint snapshot at its covers_lsn and each tail
+// group at its COMMIT LSN, and each of those commits prunes what it
+// superseded: the recovered engine carries no version state, and a
+// snapshot pin reads the recovered rows. Redo application undo-logs past
+// the undo budget — the log already made those mutations durable — so a
+// snapshot and a group larger than max_undo_records both replay into an
+// engine whose budget is armed.
+TEST_F(RecoveryTest, RecoveryLeavesNoVersionState) {
+  std::string dir = MakeTempDir();
+  uint64_t checksum = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Engine> engine,
+                         Engine::Open(DurableOptions(dir)));
+    ASSERT_OK(engine->Execute("create table t (id int, v int)"));
+    std::string insert = "insert into t values (0, 0)";
+    for (int i = 1; i < 8; ++i) {
+      insert += "; insert into t values (" + std::to_string(i) + ", " +
+                std::to_string(i) + ")";
+    }
+    ASSERT_OK(engine->Execute(insert));
+    ASSERT_OK(engine->Checkpoint());
+    // Tail groups over the snapshot: an 8-row update, a delete, an insert.
+    ASSERT_OK(engine->Execute("update t set v = v + 10"));
+    ASSERT_OK(engine->Execute("delete from t where id = 7"));
+    ASSERT_OK(engine->Execute("insert into t values (8, 18)"));
+    checksum = engine->StateChecksum();
+  }
+
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Engine> engine,
+                       Engine::Open(DurableOptions(dir)));
+  EXPECT_EQ(engine->StateChecksum(), checksum);
+  EXPECT_EQ(engine->db().VersionCount(), 0u);
+  ASSERT_OK_AND_ASSIGN(const Table* t, engine->db().GetTable("t"));
+  EXPECT_EQ(t->size(), 8u);
+  for (const auto& [handle, entry] : t->rows()) {
+    EXPECT_TRUE(engine->db().VerifyNoPending("t", handle)) << handle;
+  }
+  server::SessionManager manager(std::move(engine));
+  ASSERT_OK_AND_ASSIGN(server::Session * session, manager.CreateSession());
+  ASSERT_OK_AND_ASSIGN(server::Session::Snapshot pin, session->PinSnapshot());
+  ASSERT_OK_AND_ASSIGN(QueryResult sum,
+                       session->QueryAt(pin, "select sum(v) from t"));
+  ASSERT_EQ(sum.rows.size(), 1u);
+  EXPECT_EQ(sum.rows[0].at(0), Value::Int(21 + 70 + 18));
+
+  // The same log into an engine whose undo budget (4 records) is armed.
+  RuleEngineOptions budgeted;
+  budgeted.max_undo_records = 4;
+  Engine replica(budgeted);
+  ASSERT_OK(replica.Execute("create table other (a int)"));
+  ASSERT_OK(replica.Execute("insert into other values (1)"));
+  ASSERT_OK_AND_ASSIGN(wal::RecoveryStats stats,
+                       wal::RecoverDatabase(dir, &replica));
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(QueryScalar(&replica, "select sum(v) from t"),
+            Value::Int(21 + 70 + 18));
+  EXPECT_EQ(replica.db().VersionCount(), 0u);
 }
 
 }  // namespace
