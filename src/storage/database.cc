@@ -301,25 +301,23 @@ void Database::CommitAll(uint64_t commit_lsn) {
       // makes the read-modify-write safe.
       commit_lsn = last_commit_lsn_.load(std::memory_order_acquire) + 1;
     }
-    // Commit-time pruning (docs/CONCURRENCY.md): retire, for just the
-    // handles this commit touched, every superseded version no pinned
-    // snapshot and no future pin can see. The pin set and the floor are
-    // collected in ONE registry critical section, so a pin registered
-    // later necessarily reads an LSN >= the floor and cannot need
-    // anything pruned below it. Non-blocking on purpose: a pin
-    // acquisition can be parked inside the registry's critical section
-    // (server.pin.acquire), and a committer must not wait behind it — a
-    // skipped prune is retried by the next commit touching the chain,
-    // and checkpoints prune unconditionally. A skipped collection leaves
-    // no pins and floor 0, which keeps every stamped version.
-    std::vector<uint64_t> pins;
-    uint64_t floor = 0;
-    snapshots_.TryCollectPinned(
+    // Commit-time pruning (docs/CONCURRENCY.md): retire every superseded
+    // version no pinned snapshot and no future pin can see. The pin set
+    // and the floor are collected in ONE registry critical section, so a
+    // pin registered later necessarily reads an LSN >= the floor and
+    // cannot need anything pruned below it. Non-blocking on purpose: a
+    // pin acquisition can be parked inside the registry's critical
+    // section (server.pin.acquire), and a committer must not wait
+    // behind it. A skipped collection leaves no pins and floor 0, which
+    // keeps every stamped version; this commit's chains are queued like
+    // any others and the next commit that collects prunes them.
+    SnapshotRegistry::PruneView view;
+    const bool collected = snapshots_.TryCollectPinned(
         prune_floor_ ? prune_floor_
                      : std::function<uint64_t()>([commit_lsn] {
                          return commit_lsn;
                        }),
-        &pins, &floor);
+        &view);
     // The undo log names every (table, handle) this transaction wrote.
     // Group them per table so each table is stamped and pruned under one
     // exclusive latch.
@@ -335,10 +333,26 @@ void Database::CommitAll(uint64_t commit_lsn) {
       }
       it->second.push_back(rec.handle);
     }
+    std::lock_guard<std::mutex> gc(gc_mu_);
     for (const auto& [table, handles] : touched) {
       auto t = GetTable(table);
-      if (t.ok()) t.value()->Commit(handles, commit_lsn, pins, floor);
+      if (!t.ok()) continue;
+      // Under a lagging floor (the scheduler's visible LSN) the versions
+      // this commit superseded outlive its own prune: queue their
+      // chains for a commit whose floor has passed this LSN. Inserts
+      // leave no chain, so an insert-only commit queues nothing.
+      std::vector<TupleHandle> retained;
+      t.value()->Commit(handles, commit_lsn, view.pins, view.floor,
+                        &retained);
+      if (retained.empty()) continue;
+      // A handle written twice in one transaction is named twice.
+      std::sort(retained.begin(), retained.end());
+      retained.erase(std::unique(retained.begin(), retained.end()),
+                     retained.end());
+      prune_queue_.push_back(
+          PruneEntry{commit_lsn, std::string(table), std::move(retained)});
     }
+    if (collected) DrainPruneQueue(view);
   }
   uint64_t prev = last_commit_lsn_.load(std::memory_order_acquire);
   while (commit_lsn > prev && !last_commit_lsn_.compare_exchange_weak(
@@ -346,6 +360,42 @@ void Database::CommitAll(uint64_t commit_lsn) {
                                   std::memory_order_acq_rel)) {
   }
   undo.Clear();
+}
+
+void Database::DrainPruneQueue(const SnapshotRegistry::PruneView& view) {
+  std::vector<TupleHandle> held;
+  while (!prune_queue_.empty() && prune_queue_.front().lsn <= view.floor) {
+    PruneEntry& entry = prune_queue_.front();
+    auto t = GetTable(entry.table);
+    if (t.ok()) {
+      held.clear();
+      t.value()->Prune(entry.handles, view.pins, view.floor, &held);
+      if (!held.empty()) {
+        pin_held_[entry.table].insert(held.begin(), held.end());
+      }
+    }
+    prune_queue_.pop_front();
+  }
+  // A chain kept by a pin stays kept until some pin goes: re-examine
+  // the pin-held chains only when the registry counted a release.
+  if (view.releases == pin_releases_seen_) return;
+  pin_releases_seen_ = view.releases;
+  for (auto it = pin_held_.begin(); it != pin_held_.end();) {
+    auto t = GetTable(it->first);
+    held.clear();
+    if (t.ok()) {
+      const std::vector<TupleHandle> handles(it->second.begin(),
+                                             it->second.end());
+      t.value()->Prune(handles, view.pins, view.floor, &held);
+    }
+    it->second = std::set<TupleHandle>(held.begin(), held.end());
+    it = it->second.empty() ? pin_held_.erase(it) : std::next(it);
+  }
+}
+
+size_t Database::PruneQueueLength() const {
+  std::lock_guard<std::mutex> gc(gc_mu_);
+  return prune_queue_.size();
 }
 
 size_t Database::PruneVersions(uint64_t floor) {

@@ -2,9 +2,12 @@
 #define SOPR_STORAGE_DATABASE_H_
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,11 +124,17 @@ class Database {
 
   /// Commit point: stamps every version this transaction wrote (the rows
   /// its undo log names) to `commit_lsn`, prunes what no snapshot can
-  /// see any more, and forgets the undo information (the paper's model
+  /// see any more — of its own chains and of the chains earlier commits
+  /// left queued — and forgets the undo information (the paper's model
   /// has no post-commit rollback). Callers with a WAL pass the COMMIT
   /// record's LSN; callers without one pass 0 and get a synthetic
   /// monotonically increasing LSN.
   void CommitAll(uint64_t commit_lsn = 0);
+
+  /// Queued (commit LSN, table, handles) entries: chains a commit left
+  /// holding versions because the prune floor had not reached its LSN,
+  /// waiting for a later commit to prune them (see CommitAll).
+  size_t PruneQueueLength() const;
 
   size_t undo_log_size() const { return active_undo().size(); }
 
@@ -147,12 +156,14 @@ class Database {
   Status LockRecordForWrite(std::string_view table, TupleHandle h) const;
 
   /// Commit-time pruning floor (docs/CONCURRENCY.md): CommitAll prunes
-  /// each touched handle's version chain against the currently pinned
-  /// snapshots plus a floor below which no future pin can read. Set, the
-  /// floor is this provider (the scheduler's published visible LSN —
-  /// any future pin gets an LSN >= it). Unset (default), it is the
-  /// commit's own LSN: a reader must pin an LSN before the commit that
-  /// supersedes what it reads.
+  /// version chains against the currently pinned snapshots plus a floor
+  /// below which no future pin can read. Set, the floor is this provider
+  /// (the scheduler's published visible LSN — any future pin gets an
+  /// LSN >= it), which lags the commit's own LSN, so each commit queues
+  /// the chains it leaves holding versions for the next commit to prune.
+  /// Unset (default), it is the commit's own LSN and nothing is queued:
+  /// a reader must pin an LSN before the commit that supersedes what it
+  /// reads.
   void set_incremental_prune_floor(std::function<uint64_t()> floor) {
     prune_floor_ = std::move(floor);
   }
@@ -274,6 +285,28 @@ class Database {
   std::atomic<uint64_t> next_txn_id_{1};
   /// Commit-time prune floor provider; unset = each commit's own LSN.
   std::function<uint64_t()> prune_floor_;
+
+  /// Chains one commit left holding versions.
+  struct PruneEntry {
+    uint64_t lsn = 0;
+    std::string table;  // lowercased
+    std::vector<TupleHandle> handles;
+  };
+  /// Prunes every queued entry at or below `view.floor`, moving the
+  /// chains a pin still holds to pin_held_, and re-prunes pin_held_ once
+  /// a pin was released since the last look. Caller holds gc_mu_.
+  void DrainPruneQueue(const SnapshotRegistry::PruneView& view);
+  /// Guards the three members below. CommitAll callers are serialized
+  /// already (the rule engine's commit mutex, the follower's exclusive
+  /// apply); the mutex makes PruneQueueLength safe from any thread.
+  mutable std::mutex gc_mu_;
+  /// Ascending commit LSN (commits are serialized).
+  std::deque<PruneEntry> prune_queue_;
+  /// Per table, the handles whose chains only a live pin keeps.
+  std::map<std::string, std::set<TupleHandle>> pin_held_;
+  /// SnapshotRegistry::PruneView::releases when pin_held_ was last
+  /// re-pruned.
+  uint64_t pin_releases_seen_ = 0;
 
   std::atomic<uint64_t> last_commit_lsn_{0};
   mutable SnapshotRegistry snapshots_;

@@ -12,6 +12,7 @@ void SnapshotRegistry::ReleaseLocked(uint64_t lsn) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pinned_.find(lsn);
   if (it != pinned_.end()) pinned_.erase(it);
+  ++releases_;
 }
 
 SnapshotRegistry::Pin SnapshotRegistry::Acquire(uint64_t lsn) {
@@ -34,13 +35,14 @@ uint64_t SnapshotRegistry::OldestPinnedOr(uint64_t fallback) const {
   return *pinned_.begin();
 }
 
-void SnapshotRegistry::TryCollectPinned(
-    const std::function<uint64_t()>& current,
-    std::vector<uint64_t>* pins, uint64_t* floor) const {
+bool SnapshotRegistry::TryCollectPinned(
+    const std::function<uint64_t()>& current, PruneView* view) const {
   std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return;
-  pins->assign(pinned_.begin(), pinned_.end());  // multiset: ascending
-  *floor = current();
+  if (!lock.owns_lock()) return false;
+  view->pins.assign(pinned_.begin(), pinned_.end());  // multiset: ascending
+  view->floor = current();
+  view->releases = releases_;
+  return true;
 }
 
 }  // namespace sopr

@@ -98,18 +98,27 @@ class SnapshotRegistry {
   /// the head state needs to stay reconstructible).
   uint64_t OldestPinnedOr(uint64_t fallback) const;
 
-  /// Snapshot of the pinned set plus a floor, taken in ONE critical
-  /// section of the registry mutex (commit-time pruning,
-  /// docs/CONCURRENCY.md): `*pins` gets every pinned LSN ascending, and
-  /// `*floor` is `current()` evaluated under the mutex — so a pin
-  /// registered later (via AcquireCurrent against the same source)
-  /// necessarily reads an LSN >= the floor and cannot need a version the
-  /// caller prunes below it. Leaves both untouched if the mutex is
-  /// contended — a pin acquisition may be parked inside its critical
-  /// section, and a committer must never wait behind it (skipping a
-  /// prune is always safe; the next commit or checkpoint retries).
-  void TryCollectPinned(const std::function<uint64_t()>& current,
-                        std::vector<uint64_t>* pins, uint64_t* floor) const;
+  /// What commit-time pruning may rely on (docs/CONCURRENCY.md), read
+  /// in ONE critical section of the registry mutex.
+  struct PruneView {
+    /// Every pinned LSN, ascending.
+    std::vector<uint64_t> pins;
+    /// `current()` evaluated under the mutex: a pin registered later
+    /// (via AcquireCurrent against the same source) necessarily reads an
+    /// LSN >= it, so it cannot need a version pruned below it.
+    uint64_t floor = 0;
+    /// Pins released so far: a version kept only by a pin can become
+    /// prunable only once this moves.
+    uint64_t releases = 0;
+  };
+
+  /// Fills `*view` and returns true — or returns false, leaving it
+  /// untouched, if the mutex is contended: a pin acquisition may be
+  /// parked inside its critical section, and a committer must never
+  /// wait behind it (skipping a prune is always safe; the next commit
+  /// or checkpoint retries).
+  bool TryCollectPinned(const std::function<uint64_t()>& current,
+                        PruneView* view) const;
 
  private:
   friend class Pin;
@@ -117,6 +126,7 @@ class SnapshotRegistry {
 
   mutable std::mutex mu_;
   std::multiset<uint64_t> pinned_;
+  uint64_t releases_ = 0;
 };
 
 }  // namespace sopr

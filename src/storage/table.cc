@@ -165,10 +165,9 @@ Status Table::RollbackUpdate(TupleHandle handle) {
   return Status::OK();
 }
 
-void Table::Commit(const std::vector<TupleHandle>& handles,
-                   uint64_t commit_lsn, const std::vector<uint64_t>& pins,
-                   uint64_t floor) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+Table::Chains::iterator Table::PruneChain(Chains::iterator chain_it,
+                                          const std::vector<uint64_t>& pins,
+                                          uint64_t floor) {
   auto keep = [&](const RowVersion& v) {
     // A pending end compares greater than any floor.
     if (v.end_lsn > floor) return true;
@@ -176,6 +175,16 @@ void Table::Commit(const std::vector<TupleHandle>& handles,
     auto pin = std::lower_bound(pins.begin(), pins.end(), v.begin_lsn);
     return pin != pins.end() && *pin < v.end_lsn;
   };
+  std::vector<RowVersion>& chain = chain_it->second;
+  chain.erase(std::stable_partition(chain.begin(), chain.end(), keep),
+              chain.end());
+  return chain.empty() ? chains_.erase(chain_it) : chain_it;
+}
+
+void Table::Commit(const std::vector<TupleHandle>& handles,
+                   uint64_t commit_lsn, const std::vector<uint64_t>& pins,
+                   uint64_t floor, std::vector<TupleHandle>* retained) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
   for (TupleHandle handle : handles) {
     auto live = rows_.find(handle);
     if (live != rows_.end() && live->second.begin == kPendingLsn) {
@@ -193,9 +202,26 @@ void Table::Commit(const std::vector<TupleHandle>& handles,
       // interval [C, C): correctly visible to nobody.
       if (v->begin_lsn == kPendingLsn) v->begin_lsn = commit_lsn;
     }
-    chain.erase(std::stable_partition(chain.begin(), chain.end(), keep),
-                chain.end());
-    if (chain.empty()) chains_.erase(chain_it);
+    if (PruneChain(chain_it, pins, floor) != chains_.end()) {
+      retained->push_back(handle);
+    }
+  }
+}
+
+void Table::Prune(const std::vector<TupleHandle>& handles,
+                  const std::vector<uint64_t>& pins, uint64_t floor,
+                  std::vector<TupleHandle>* pin_held) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  for (TupleHandle handle : handles) {
+    auto chain_it = chains_.find(handle);
+    if (chain_it == chains_.end()) continue;
+    chain_it = PruneChain(chain_it, pins, floor);
+    // Ends ascend along a chain, so its oldest version tells whether
+    // anything at or below the floor survived.
+    if (chain_it != chains_.end() &&
+        chain_it->second.front().end_lsn <= floor) {
+      pin_held->push_back(handle);
+    }
   }
 }
 

@@ -115,13 +115,24 @@ class Table {
   /// Commit point for the handles one transaction touched (a repeated
   /// handle is a no-op), under one exclusive latch: rewrites every
   /// kPendingLsn sentinel the transaction left on their version state
-  /// to `commit_lsn`, then drops every superseded version of those
-  /// handles that no pinned snapshot (`pins`, ascending) and no future
-  /// pin (which gets an LSN >= `floor`) can see: keep [begin, end) iff
-  /// some pin falls inside it or end > floor. Empty pins with floor 0
-  /// keep every version.
+  /// to `commit_lsn`, then prunes their chains as Prune does. Appends to
+  /// `retained` each handle whose chain still holds a version.
   void Commit(const std::vector<TupleHandle>& handles, uint64_t commit_lsn,
-              const std::vector<uint64_t>& pins, uint64_t floor);
+              const std::vector<uint64_t>& pins, uint64_t floor,
+              std::vector<TupleHandle>* retained);
+
+  /// Prune-only pass over the chains of `handles` (absent ones are
+  /// skipped), under one exclusive latch: drops every superseded version
+  /// that no pinned snapshot (`pins`, ascending) and no future pin (which
+  /// gets an LSN >= `floor`) can see — keep [begin, end) iff some pin
+  /// falls inside it or end > floor. Never stamps: another transaction
+  /// may hold pending versions on these handles, and a pending end
+  /// exceeds every floor. Appends to `pin_held` each handle whose chain
+  /// still holds a version ending at or below `floor`, i.e. one that
+  /// only a live pin keeps.
+  void Prune(const std::vector<TupleHandle>& handles,
+             const std::vector<uint64_t>& pins, uint64_t floor,
+             std::vector<TupleHandle>* pin_held);
 
   /// Appends every row visible at read point `at` (kHeadLsn or a
   /// snapshot LSN) to `rows`, its handle to the parallel `handles`, in
@@ -164,6 +175,13 @@ class Table {
   /// Pops the pending version a delete or update of `handle` pushed;
   /// `what` names the undone mutation in the error. Caller holds mu_.
   Result<RowVersion> PopPendingVersion(TupleHandle handle, const char* what);
+  using Chains = std::map<TupleHandle, std::vector<RowVersion>>;
+  /// Prune's keep rule applied to one chain, erasing it once empty;
+  /// returns the chain, or chains_.end() if it emptied. Caller holds mu_
+  /// exclusive.
+  Chains::iterator PruneChain(Chains::iterator chain_it,
+                              const std::vector<uint64_t>& pins,
+                              uint64_t floor);
   /// Scan with the latch already held.
   void ScanLatched(uint64_t at, std::vector<Row>* rows,
                    std::vector<TupleHandle>* handles) const;
@@ -175,7 +193,7 @@ class Table {
   /// Superseded versions per handle, oldest first. The intervals [begin,
   /// end) of consecutive entries (plus the live row) are disjoint, so at
   /// most one version of a handle is visible at any snapshot.
-  std::map<TupleHandle, std::vector<RowVersion>> chains_;
+  Chains chains_;
 };
 
 }  // namespace sopr

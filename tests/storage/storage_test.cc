@@ -599,6 +599,8 @@ TEST(EmbeddedVersions, UnpinnedCommitsRetainNoVersions) {
                              "; insert into t values (" + id + ", 0)"));
     EXPECT_EQ(engine.db().VersionCount(), 0u) << "delete " << i;
   }
+  EXPECT_EQ(engine.db().PruneQueueLength(), 0u)
+      << "a commit whose floor is its own LSN leaves nothing for later";
   ASSERT_OK(engine.Execute("update t set v = v + 1"));
   EXPECT_EQ(engine.db().VersionCount(), 0u);
   EXPECT_EQ(QueryScalar(&engine, "select count(*) from t"), Value::Int(16));

@@ -562,6 +562,7 @@ TEST_F(RecoveryTest, RecoveryLeavesNoVersionState) {
                        Engine::Open(DurableOptions(dir)));
   EXPECT_EQ(engine->StateChecksum(), checksum);
   EXPECT_EQ(engine->db().VersionCount(), 0u);
+  EXPECT_EQ(engine->db().PruneQueueLength(), 0u);
   ASSERT_OK_AND_ASSIGN(const Table* t, engine->db().GetTable("t"));
   EXPECT_EQ(t->size(), 8u);
   for (const auto& [handle, entry] : t->rows()) {
